@@ -40,7 +40,6 @@ class RunConfig:
     safety: float
     dt_min: float
     max_halvings: int
-    scheme: str
     preset: str
     preset_params: dict
     p_list: tuple[float, ...]
@@ -56,7 +55,7 @@ class RunConfig:
 
     def step_control(self) -> StepControl:
         return StepControl(safety=self.safety, dt_min=self.dt_min,
-                           max_halvings=self.max_halvings, scheme=self.scheme)
+                           max_halvings=self.max_halvings)
 
 
 _KNOWN = {
@@ -73,7 +72,6 @@ _KNOWN = {
     "time.safety": "float",
     "time.dt_min": "float",
     "time.max_halvings": "int",
-    "time.scheme": "str",
     "init.preset": "str",
     "diagnostics.p_list": "floats",
     "diagnostics.q_alpha": "str",
@@ -161,46 +159,34 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
         value, lineno = raw[key]
         return _parse_value(key, value, _KNOWN[key], lineno)
 
+    def build(section, cls, *keys, **fields):
+        """cls(**fields, plus each of `keys` set as `section.key`).  The
+        class validates its fields; its ValueError starts with the field
+        name, so the re-raised ConfigError names the key."""
+        for k in keys:
+            if f"{section}.{k}" in raw:
+                fields[k] = get(f"{section}.{k}")
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {section}.{exc}") from None
+
     dim = get("domain.dim", 1)
     if dim not in (1, 2):
         raise ConfigError(f"{name}: domain.dim must be 1 or 2, got {dim}")
     lx = get("domain.lx", 1.0)
     ly = get("domain.ly", lx)
-    lengths = (lx,) if dim == 1 else (lx, ly)
-    if any(L <= 0 for L in lengths):
-        raise ConfigError(f"{name}: domain lengths must be positive")
     nx = get("grid.nx")
     ny = get("grid.ny", nx)
-    shape = (nx,) if dim == 1 else (nx, ny)
-    if any(n < 2 for n in shape):
-        raise ConfigError(f"{name}: grid needs at least 2 cells per axis")
-
-    l = get("model.l")
-    if l < 1.0:
-        raise ConfigError(f"{name}: model.l must be >= 1, got {l}")
-    epsilon = get("model.epsilon")
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"{name}: model.epsilon must lie in (0,1), got {epsilon}")
-    b = get("model.b", 1.0)
-    if b <= 0.0:
-        raise ConfigError(f"{name}: model.b must be positive, got {b}")
-    face_mean = get("model.face_mean", "arithmetic")
-    if face_mean not in ("arithmetic", "harmonic"):
-        raise ConfigError(f"{name}: model.face_mean must be arithmetic or harmonic")
-
+    grid = build("grid", Grid,
+                 domain=build("domain", Domain,
+                              lengths=(lx,) if dim == 1 else (lx, ly)),
+                 shape=(nx,) if dim == 1 else (nx, ny))
+    model = build("model", ModelParams, "l", "epsilon", "b", "face_mean")
+    ctrl = build("time", StepControl, "safety", "dt_min", "max_halvings")
     T = get("time.T")
     if T <= 0.0:
         raise ConfigError(f"{name}: time.T must be positive, got {T}")
-    safety = get("time.safety", 0.4)
-    if not 0.0 < safety <= 1.0:
-        raise ConfigError(f"{name}: time.safety must lie in (0,1], got {safety}")
-    dt_min = get("time.dt_min", 1e-12)
-    if dt_min <= 0.0:
-        raise ConfigError(f"{name}: time.dt_min must be positive")
-    max_halvings = get("time.max_halvings", 40)
-    scheme = get("time.scheme", "explicit")
-    if scheme not in ("explicit", "semi_implicit_v"):
-        raise ConfigError(f"{name}: time.scheme must be explicit or semi_implicit_v")
 
     preset_params = {}
     for pname, default in PRESET_PARAMS[preset].items():
@@ -228,15 +214,19 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
     sample_interval = get("diagnostics.sample_interval", T / 100.0)
     if sample_interval <= 0.0:
         raise ConfigError(f"{name}: diagnostics.sample_interval must be positive")
+    snapshot_times = get("output.snapshot_times", ())
+    if any(not 0.0 <= t <= T for t in snapshot_times):
+        raise ConfigError(
+            f"{name}: output.snapshot_times must lie in [0, time.T = {T:g}]")
 
     return RunConfig(
-        dim=dim, lengths=lengths, shape=shape,
-        model=ModelParams(l=l, epsilon=epsilon, b=b, face_mean=face_mean),
-        T=T, safety=safety, dt_min=dt_min, max_halvings=max_halvings,
-        scheme=scheme, preset=preset, preset_params=preset_params,
+        dim=dim, lengths=grid.domain.lengths, shape=grid.shape, model=model,
+        T=T, safety=ctrl.safety, dt_min=ctrl.dt_min,
+        max_halvings=ctrl.max_halvings,
+        preset=preset, preset_params=preset_params,
         p_list=p_list, q_alpha=q_alpha, sample_interval=sample_interval,
         out_dir=get("output.dir", "out"),
-        snapshot_times=get("output.snapshot_times", ()),
+        snapshot_times=snapshot_times,
         images=get("output.images", False),
         seed=get("seed", 0),
     )

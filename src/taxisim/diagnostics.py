@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    ScalarField,
-    face_quadrature,
-    integrate,
-    interior_face_gradient,
-    interior_face_mean,
-    lp_norm,
-)
+from .grid import ScalarField, face_sums, integrate, lp_norm
 from .model import ModelParams, PositivityViolation, State
 
 __all__ = [
@@ -67,55 +60,48 @@ def _check_positive(f: ScalarField, name: str) -> None:
         raise PositivityViolation(f"{name} must be strictly positive, min = {m!r}")
 
 
+# Face integrands over grads=(u, v), means=(u, v).
+def _diss_u(gu, gv, mu, mv, w):
+    return (mv / mu) * gu * gu * w
+
+
+def _diss_v(gu, gv, mu, mv, w):
+    return (mu / mv) * gv * gv * w
+
+
+def _grad_v_sq(gu, gv, mu, mv, w):
+    return gv * gv * w
+
+
+def _grad_v_sq_over_v(gu, gv, mu, mv, w):
+    return gv * gv * w / mv
+
+
+def _quotient(q: float, alpha: float):
+    """Face integrand (gv, mv, w) of |grad v|^q / v^alpha, q > 2, 0 < alpha < q."""
+    if not q > 2.0:
+        raise ValueError(f"exponent q must exceed 2, got {q}")
+    if not 0.0 < alpha < q:
+        raise ValueError(f"weight alpha must lie in (0, q), got {alpha}")
+    return lambda gv, mv, w: np.abs(gv) ** q / mv ** alpha * w
+
+
 def dissipations(state: State) -> tuple[float, float]:
     """Gradient-structure integrals: (sum (v/u)|grad u|^2, sum (u/v)|grad v|^2)."""
     _check_positive(state.u, "u")
     _check_positive(state.v, "v")
     u, v = state.u.values, state.v.values
-    grid = state.grid
-    diss_u = 0.0
-    diss_v = 0.0
-    for axis, h in enumerate(grid.h):
-        gu = interior_face_gradient(u, axis, h)
-        gv = interior_face_gradient(v, axis, h)
-        mu = interior_face_mean(u, axis)
-        mv = interior_face_mean(v, axis)
-        w = face_quadrature(grid, axis)
-        diss_u += float(np.sum((mv / mu) * gu * gu * w))
-        diss_v += float(np.sum((mu / mv) * gv * gv * w))
+    diss_u, diss_v = face_sums(state.grid, (_diss_u, _diss_v),
+                               grads=(u, v), means=(u, v))
     return diss_u, diss_v
 
 
 def weighted_gradient(state: State, q: float, alpha: float) -> float:
     """Face sum of |grad v|^q / v^alpha for q > 2, 0 < alpha < q."""
-    if not q > 2.0:
-        raise ValueError(f"exponent q must exceed 2, got {q}")
-    if not 0.0 < alpha < q:
-        raise ValueError(f"weight alpha must lie in (0, q), got {alpha}")
+    integrand = _quotient(q, alpha)
     _check_positive(state.v, "v")
     v = state.v.values
-    grid = state.grid
-    total = 0.0
-    for axis, h in enumerate(grid.h):
-        gv = interior_face_gradient(v, axis, h)
-        mv = interior_face_mean(v, axis)
-        w = face_quadrature(grid, axis)
-        total += float(np.sum(np.abs(gv) ** q / mv ** alpha * w))
-    return total
-
-
-def _grad_sq(state: State, over_v: bool) -> float:
-    v = state.v.values
-    grid = state.grid
-    total = 0.0
-    for axis, h in enumerate(grid.h):
-        gv = interior_face_gradient(v, axis, h)
-        w = face_quadrature(grid, axis)
-        term = gv * gv * w
-        if over_v:
-            term = term / interior_face_mean(v, axis)
-        total += float(np.sum(term))
-    return total
+    return face_sums(state.grid, (integrand,), grads=(v,), means=(v,))[0]
 
 
 def energy_case(l: float) -> str:
@@ -138,10 +124,13 @@ def energy_G(state: State, params: ModelParams) -> float:
     alone and full_record flags the value as case-undefined.
     """
     _check_positive(state.u, "u")
-    f4 = weighted_gradient(state, 4.0, 3.0)
+    return _energy_G(state.u, params, weighted_gradient(state, 4.0, 3.0))
+
+
+def _energy_G(u: ScalarField, params: ModelParams, f4: float) -> float:
+    """energy_G from a positive u and the quartic quotient f4 of v."""
     l, b = params.l, params.b
     case = energy_case(l)
-    u = state.u
     if case == "u_log_u":
         ent = integrate(ScalarField(u.grid, u.values * np.log(u.values), copy=False))
         return 4.0 * b * ent + f4
@@ -167,11 +156,21 @@ def _entropy(state: State, params: ModelParams) -> float:
 
 def full_record(state: State, params: ModelParams, p_list,
                 q_alpha=DEFAULT_Q_ALPHA) -> FunctionalRecord:
+    """Every diagnostic of `state`; the face functionals share one pass."""
     _check_positive(state.u, "u")
     _check_positive(state.v, "v")
     u, v = state.u, state.v
+    q_alpha = [(float(q), float(a)) for q, a in q_alpha]
+    quotients = {qa: _quotient(*qa) for qa in [(4.0, 3.0)] + q_alpha}
+    sums = face_sums(
+        state.grid,
+        [_diss_u, _diss_v, _grad_v_sq, _grad_v_sq_over_v]
+        + [lambda gu, gv, mu, mv, w, f=f: f(gv, mv, w)
+           for f in quotients.values()],
+        grads=(u.values, v.values), means=(u.values, v.values))
+    diss_u, diss_v, grad_v_sq, grad_v_sq_over_v = sums[:4]
+    quotient_sums = dict(zip(quotients, sums[4:]))
     uv2 = ScalarField(u.grid, u.values * u.values * v.values, copy=False)
-    diss_u, diss_v = dissipations(state)
     lp_u = {float(p): lp_norm(u, float(p)) for p in p_list}
     lp_u[math.inf] = lp_norm(u, math.inf)
     return FunctionalRecord(
@@ -184,14 +183,13 @@ def full_record(state: State, params: ModelParams, p_list,
         cumulative_uv=state.cumulative_uv,
         diss_u=diss_u,
         diss_v=diss_v,
-        grad_v_sq=_grad_sq(state, over_v=False),
-        grad_v_sq_over_v=_grad_sq(state, over_v=True),
-        weighted_q={(float(q), float(a)): weighted_gradient(state, float(q), float(a))
-                    for q, a in q_alpha},
+        grad_v_sq=grad_v_sq,
+        grad_v_sq_over_v=grad_v_sq_over_v,
+        weighted_q={qa: quotient_sums[qa] for qa in q_alpha},
         weighted_L2=integrate(uv2),
         lp_u=lp_u,
         entropy=_entropy(state, params),
-        energy_G=energy_G(state, params),
+        energy_G=_energy_G(u, params, quotient_sums[(4.0, 3.0)]),
         energy_G_defined=energy_case(params.l) != "undefined",
     )
 

@@ -22,6 +22,7 @@ __all__ = [
     "laplacian",
     "lp_norm",
     "face_quadrature",
+    "face_sums",
     "interior_face_gradient",
     "interior_face_mean",
     "write_field",
@@ -40,7 +41,7 @@ class Domain:
         if len(lengths) not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {len(lengths)}")
         if any(L <= 0 for L in lengths):
-            raise ValueError(f"domain lengths must be positive: {lengths}")
+            raise ValueError(f"lengths must be positive, got {lengths}")
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -66,7 +67,7 @@ class Grid:
                 f"grid shape {shape} does not match domain dim {self.domain.dim}"
             )
         if any(n < 2 for n in shape):
-            raise ValueError(f"need at least 2 cells per axis, got {shape}")
+            raise ValueError(f"shape needs at least 2 cells per axis, got {shape}")
         object.__setattr__(self, "shape", shape)
 
     @property
@@ -215,6 +216,24 @@ def face_quadrature(grid: Grid, axis: int) -> np.ndarray:
     shape = [1] * grid.dim
     shape[axis] = n - 1
     return w.reshape(shape)
+
+
+def face_sums(grid: Grid, integrands, grads=(), means=()) -> list[float]:
+    """Interior-face sums of several integrands in one pass over the axes.
+
+    Per axis, the face gradients of the arrays in `grads`, the arithmetic
+    face means of the arrays in `means` and the dual volumes `w` are formed
+    once; each integrand is called as ``f(*gradients, *means, w)`` and its
+    face array summed.  Per-axis sums accumulate in axis order.
+    """
+    totals = [0.0] * len(integrands)
+    for axis, h in enumerate(grid.h):
+        faces = [interior_face_gradient(a, axis, h) for a in grads]
+        faces += [interior_face_mean(a, axis) for a in means]
+        faces.append(face_quadrature(grid, axis))
+        for i, f in enumerate(integrands):
+            totals[i] += float(np.sum(f(*faces)))
+    return totals
 
 
 def write_field(path, f: ScalarField) -> None:

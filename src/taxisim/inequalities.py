@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    ScalarField,
-    face_quadrature,
-    integrate,
-    interior_face_gradient,
-    interior_face_mean,
-)
+from .grid import Grid, ScalarField, face_sums, integrate
 from .model import PositivityViolation
 
 __all__ = [
@@ -50,39 +43,6 @@ def _check_positive_pair(phi: ScalarField, psi: ScalarField) -> None:
         raise PositivityViolation("psi must be strictly positive")
 
 
-def _cross_dissipation(num: np.ndarray, den: np.ndarray,
-                       gfield: np.ndarray, grid: Grid) -> float:
-    """Face sum of (num/den) |grad gfield|^2."""
-    total = 0.0
-    for axis, h in enumerate(grid.h):
-        g = interior_face_gradient(gfield, axis, h)
-        mn = interior_face_mean(num, axis)
-        md = interior_face_mean(den, axis)
-        total += float(np.sum((mn / md) * g * g * face_quadrature(grid, axis)))
-    return total
-
-
-def _weighted_grad_sq(weight: np.ndarray, gfield: np.ndarray,
-                      grid: Grid) -> float:
-    """Face sum of weight * |grad gfield|^2, weight averaged to faces."""
-    total = 0.0
-    for axis, h in enumerate(grid.h):
-        g = interior_face_gradient(gfield, axis, h)
-        mw = interior_face_mean(weight, axis)
-        total += float(np.sum(mw * g * g * face_quadrature(grid, axis)))
-    return total
-
-
-def _quartic_quotient(psi: np.ndarray, grid: Grid) -> float:
-    """Face sum of |grad psi|^4 / psi^3."""
-    total = 0.0
-    for axis, h in enumerate(grid.h):
-        g = interior_face_gradient(psi, axis, h)
-        m = interior_face_mean(psi, axis)
-        total += float(np.sum(g ** 4 / m ** 3 * face_quadrature(grid, axis)))
-    return total
-
-
 def check_ineq_61(phi: ScalarField, psi: ScalarField, p: float,
                   field_seed: int | None = None) -> IneqReport:
     """Interpolation bound: int phi^(p+1) psi against the dissipation bracket
@@ -94,9 +54,12 @@ def check_ineq_61(phi: ScalarField, psi: ScalarField, p: float,
     grid = phi.grid
     f, s = phi.values, psi.values
     lhs = integrate(ScalarField(grid, f ** (p + 1.0) * s, copy=False))
-    bracket = (_cross_dissipation(f, s, s, grid)
-               + _cross_dissipation(s, f, f, grid)
-               + integrate(ScalarField(grid, f * s, copy=False)))
+    diss_psi, diss_phi = face_sums(
+        grid,
+        (lambda gf, gs, mf, ms, w: (mf / ms) * gs * gs * w,
+         lambda gf, gs, mf, ms, w: (ms / mf) * gf * gf * w),
+        grads=(f, s), means=(f, s))
+    bracket = diss_psi + diss_phi + integrate(ScalarField(grid, f * s, copy=False))
     factor = integrate(ScalarField(grid, f ** p, copy=False))
     denom = bracket * factor
     ratio = lhs / denom if denom > 0.0 else math.inf
@@ -119,11 +82,16 @@ def check_ineq_64(phi: ScalarField, psi: ScalarField, p: float, eta: float,
     grid = phi.grid
     f, s = phi.values, psi.values
     sup_psi = float(s.max())
-    lhs = _weighted_grad_sq(f ** (p + 1.0) * s, s, grid)
-    f4 = _quartic_quotient(s, grid)
-    int_fp1s = integrate(ScalarField(grid, f ** (p + 1.0) * s, copy=False))
+    fp1s = f ** (p + 1.0) * s
+    lhs, f4, grad_phi = face_sums(
+        grid,
+        (lambda gf, gs, m_fp1s, m_fm1s, ms, w: m_fp1s * gs * gs * w,
+         lambda gf, gs, m_fp1s, m_fm1s, ms, w: gs ** 4 / ms ** 3 * w,
+         lambda gf, gs, m_fp1s, m_fm1s, ms, w: m_fm1s * gf * gf * w),
+        grads=(f, s), means=(fp1s, f ** (p - 1.0) * s, s))
+    int_fp1s = integrate(ScalarField(grid, fp1s, copy=False))
     terms = {
-        "eta_grad_phi": eta * _weighted_grad_sq(f ** (p - 1.0) * s, f, grid),
+        "eta_grad_phi": eta * grad_phi,
         "mixed": (sup_psi + sup_psi ** 3 / eta) * int_fp1s * f4,
         "mass_power": sup_psi ** 2
         * integrate(ScalarField(grid, f, copy=False)) ** (2.0 * p + 1.0) * f4,

@@ -17,7 +17,6 @@ from .grid import (
     Grid,
     ScalarField,
     _axis_slices,
-    _laplacian_array,
     interior_face_gradient,
     interior_face_mean,
 )
@@ -51,13 +50,14 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         if self.l < 1.0:
-            raise ValueError(f"diffusion exponent l must be >= 1, got {self.l}")
+            raise ValueError(f"l must be >= 1 (diffusion exponent), got {self.l}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if self.b <= 0.0:
-            raise ValueError(f"energy constant b must be positive, got {self.b}")
+            raise ValueError(f"b must be positive (energy constant), got {self.b}")
         if self.face_mean not in ("arithmetic", "harmonic"):
-            raise ValueError(f"unknown face mean {self.face_mean!r}")
+            raise ValueError("face_mean must be arithmetic or harmonic, "
+                             f"got {self.face_mean!r}")
 
 
 @dataclass

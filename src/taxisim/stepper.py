@@ -1,11 +1,8 @@
 """Positivity-safe time stepping for the regularized system.
 
-The default scheme is forward Euler under a CFL bound; a step producing any
+The scheme is forward Euler under a CFL bound; a step producing any
 nonpositive cell is rejected and retried with half the step size, so
-positivity comes from step-size control rather than clamping.  The nutrient
-equation can alternatively be advanced semi-implicitly: the linearized system
-(I - dt*Lap + dt*diag(u)) v' = v is symmetric positive definite and solved by
-conjugate gradients; the degenerate u equation always stays explicit.
+positivity comes from step-size control rather than clamping.
 """
 from __future__ import annotations
 
@@ -14,12 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, _laplacian_array
+from .grid import ScalarField
 from .model import ModelParams, State, rhs_arrays, stability_dt
 
 __all__ = ["StepControl", "StepFailure", "step", "run_until"]
-
-CG_TOL = 1e-10  # linear-solver residual, one order below conservation tol
 
 
 @dataclass(frozen=True)
@@ -27,15 +22,15 @@ class StepControl:
     safety: float = 0.4
     dt_min: float = 1e-12
     max_halvings: int = 40
-    scheme: str = "explicit"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.safety <= 1.0:
             raise ValueError(f"safety must lie in (0,1], got {self.safety}")
         if self.dt_min <= 0.0:
             raise ValueError(f"dt_min must be positive, got {self.dt_min}")
-        if self.scheme not in ("explicit", "semi_implicit_v"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.max_halvings < 0:
+            raise ValueError(
+                f"max_halvings must be >= 0, got {self.max_halvings}")
 
 
 class StepFailure(RuntimeError):
@@ -44,27 +39,6 @@ class StepFailure(RuntimeError):
     def __init__(self, message: str, state: State):
         super().__init__(message)
         self.state = state
-
-
-def _cg(apply_a, b: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
-    x = b.copy()
-    r = b - apply_a(x)
-    p = r.copy()
-    rs = float(np.dot(r.ravel(), r.ravel()))
-    target = tol * tol
-    for _ in range(maxiter):
-        if rs <= target:
-            return x
-        ap = apply_a(p)
-        alpha = rs / float(np.dot(p.ravel(), ap.ravel()))
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.dot(r.ravel(), r.ravel()))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if rs > target:
-        raise RuntimeError(f"CG stalled at residual {np.sqrt(rs):.3e}")
-    return x
 
 
 def _acceptable(a: np.ndarray) -> bool:
@@ -83,24 +57,13 @@ def step(state: State, params: ModelParams, ctrl: StepControl,
     src = source(state.t, grid) if source is not None else None
     du, dv = rhs_arrays(u, v, grid, params, src)
     cellvol = grid.cell_volume
-    h = grid.h
 
     for _ in range(ctrl.max_halvings + 1):
         if dt < ctrl.dt_min:
             raise StepFailure(f"step size {dt:.3e} fell below dt_min", state)
-        if ctrl.scheme == "explicit":
-            un = u + dt * du
-            vn = v + dt * dv
-            consumed = dt * float(np.sum(u * v)) * cellvol
-        else:
-            def apply_a(w, _dt=dt):
-                return w - _dt * _laplacian_array(w, h) + _dt * u * w
-
-            b = v if src is None else v + dt * src[1]
-            vn = _cg(apply_a, b, CG_TOL * max(1.0, float(np.linalg.norm(b))),
-                     maxiter=10 * v.size)
-            un = u + dt * du
-            consumed = dt * float(np.sum(u * vn)) * cellvol
+        un = u + dt * du
+        vn = v + dt * dv
+        consumed = dt * float(np.sum(u * v)) * cellvol
         if _acceptable(un) and _acceptable(vn):
             return State(u=ScalarField(grid, un, copy=False),
                          v=ScalarField(grid, vn, copy=False),

@@ -23,7 +23,6 @@ class TestMinimal:
         assert cfg.model.face_mean == "arithmetic"
         assert cfg.T == 1.0
         assert cfg.safety == 0.4
-        assert cfg.scheme == "explicit"
         assert cfg.preset == "constant"
         assert cfg.preset_params == {"a": 1.0, "b": 1.0}
         assert cfg.p_list == (2.0, 4.0)
@@ -36,7 +35,7 @@ class TestMinimal:
         g = cfg.grid()
         assert g.shape == (64,) and g.domain.lengths == (1.0,)
         ctrl = cfg.step_control()
-        assert ctrl.safety == 0.4 and ctrl.scheme == "explicit"
+        assert ctrl.safety == 0.4
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# header\n\n" + MINIMAL + "\nseed = 3 # trailing\n")
@@ -85,6 +84,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="time.scheme"):
             parse_config(MINIMAL + "time.scheme = fully_implicit\n")
 
+    def test_negative_max_halvings(self):
+        with pytest.raises(ConfigError, match="time.max_halvings"):
+            parse_config(MINIMAL + "time.max_halvings = -1\n")
+
+    def test_snapshot_after_T(self):
+        bad = MINIMAL.replace("time.T = 1", "time.T = 0.01")
+        with pytest.raises(ConfigError, match="output.snapshot_times"):
+            parse_config(bad + "output.snapshot_times = 0.02\n")
+
     def test_unknown_preset(self):
         bad = MINIMAL.replace("init.preset = constant",
                               "init.preset = vortex")
@@ -114,7 +122,6 @@ model.l = 2.5
 model.epsilon = 0.05
 model.face_mean = harmonic
 time.T = 0.5
-time.scheme = semi_implicit_v
 init.preset = gaussian_colony
 init.amplitude = 4
 init.width = 0.2
@@ -128,7 +135,6 @@ seed = 42
         cfg = parse_config(text)
         assert cfg.lengths == (2.0, 3.0) and cfg.shape == (16, 8)
         assert cfg.model.face_mean == "harmonic"
-        assert cfg.scheme == "semi_implicit_v"
         assert cfg.preset_params["center"] == (1.0, 1.5)
         assert cfg.p_list == (2.0, 3.0, 4.0)
         assert cfg.q_alpha == ((4.0, 3.0),)

@@ -201,6 +201,22 @@ class TestFullRecord:
             assert rec.weighted_q[(4.0, 3.0)] >= 0.0
             assert rec.inf_v > 0.0
 
+    @pytest.mark.parametrize("shape", [(48,), (12, 9)])
+    @pytest.mark.parametrize("q_alpha", [((4.0, 3.0), (6.0, 5.0)),
+                                         ((3.0, 1.0),)])
+    def test_matches_standalone_functionals(self, shape, q_alpha):
+        # the record's shared face pass equals each standalone functional
+        g = Grid(Domain((1.0,) * len(shape)), shape)
+        rng = np.random.default_rng(len(shape))
+        st = State(u=ScalarField(g, rng.uniform(0.2, 3.0, shape)),
+                   v=ScalarField(g, rng.uniform(0.2, 3.0, shape)))
+        for params in (PARAMS, ModelParams(l=2.5, epsilon=0.01)):
+            rec = full_record(st, params, [2.0], q_alpha)
+            assert (rec.diss_u, rec.diss_v) == dissipations(st)
+            assert rec.weighted_q == {
+                qa: weighted_gradient(st, *qa) for qa in q_alpha}
+            assert rec.energy_G == energy_G(st, params)
+
 
 class TestSerialization:
     P_LIST = (2.0, 4.0)

@@ -16,7 +16,6 @@ from taxisim import (
     run_until,
     step,
 )
-from taxisim.grid import _laplacian_array
 
 
 def grid1d(n=32, L=1.0):
@@ -83,48 +82,6 @@ class TestStep:
         with pytest.raises(StepFailure) as exc_info:
             step(st, params, StepControl(max_halvings=3, dt_min=1e-3))
         assert exc_info.value.state is st
-
-
-class TestSemiImplicit:
-    CTRL = StepControl(scheme="semi_implicit_v")
-
-    def test_linear_system_residual(self):
-        g = grid1d(40)
-        st = random_state(g, 7)
-        new = step(st, PARAMS, self.CTRL)
-        dt = new.t
-        lhs = (new.v.values - dt * _laplacian_array(new.v.values, g.h)
-               + dt * st.u.values * new.v.values)
-        np.testing.assert_allclose(lhs, st.v.values, atol=1e-9)
-
-    def test_constant_fields(self):
-        g = grid1d(10)
-        st = constant_state(g)
-        new = step(st, PARAMS, self.CTRL, dt_max=0.001)
-        dt = new.t
-        # v' = v/(1 + dt*u) for constants
-        np.testing.assert_allclose(new.v.values, 1.0 / (1.0 + dt), rtol=1e-10)
-        assert new.cumulative_uv == pytest.approx(
-            dt * float(np.mean(new.v.values)), rel=1e-9)
-
-    def test_positive_and_sup_bounded(self):
-        g = grid1d(24)
-        st = random_state(g, 13)
-        sup0 = st.v.values.max()
-        for _ in range(10):
-            st = step(st, PARAMS, self.CTRL)
-            assert st.v.values.min() > 0.0
-            assert st.v.values.max() <= sup0 + 1e-12
-
-    def test_matches_explicit_for_small_dt(self):
-        # schemes agree to O(dt^2) on smooth data
-        g = grid1d(24)
-        x = g.centers(0)
-        st = State(u=ScalarField(g, 1.0 + 0.3 * np.cos(np.pi * x)),
-                   v=ScalarField(g, 1.5 + 0.4 * np.cos(2 * np.pi * x)))
-        a = step(st, PARAMS, StepControl(), dt_max=1e-5)
-        b = step(st, PARAMS, self.CTRL, dt_max=1e-5)
-        np.testing.assert_allclose(a.v.values, b.v.values, atol=1e-7)
 
 
 class TestRunUntil:
