@@ -138,7 +138,9 @@ def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
             if target <= 0.0:
                 continue
             state = run_until(state, target, config.model, ctrl)
-            if is_sample(state.t):
+            # the state at T is always recorded; no time gets two rows
+            if ((target == config.T or is_sample(state.t))
+                    and state.t != records[-1].t):
                 records.append(full_record(state, config.model, config.p_list,
                                            config.q_alpha))
             if any(abs(state.t - ts) <= 1e-9 * max(1.0, ts) for ts in snap_set):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,11 +71,13 @@ class Grid:
             raise ValueError(f"shape needs at least 2 cells per axis, got {shape}")
         object.__setattr__(self, "shape", shape)
 
-    @property
+    # Geometry is fixed by the fields, so it is computed on first use and
+    # kept; eq, hash and repr still see only `domain` and `shape`.
+    @cached_property
     def dim(self) -> int:
         return self.domain.dim
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.domain.lengths, self.shape))
 
@@ -82,7 +85,7 @@ class Grid:
     def num_cells(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 

@@ -48,8 +48,8 @@ def build_sources(l: float):
           + (u ** l * v * v.diff(x)).diff(x)
           - u * v)
     fv = v.diff(t) - v.diff(x, 2) + u * v
-    return (sp.lambdify((x, t), sp.simplify(fu), modules="numpy"),
-            sp.lambdify((x, t), sp.simplify(fv), modules="numpy"))
+    return (sp.lambdify((x, t), fu, modules="numpy", cse=True),
+            sp.lambdify((x, t), fv, modules="numpy", cse=True))
 
 
 def residual_check(l: float, npoints: int = 10, seed: int = 0) -> float:

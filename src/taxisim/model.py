@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    ScalarField,
-    _axis_slices,
-    interior_face_gradient,
-    interior_face_mean,
-)
+from .grid import Grid, ScalarField, _axis_slices
 
 __all__ = [
     "ModelParams",
@@ -93,36 +87,45 @@ def regularize_initial(u0: ScalarField, v0: ScalarField,
     return State(u=u, v=v0.copy(), t=0.0, cumulative_uv=0.0)
 
 
-def _mobilities(u: np.ndarray, params: ModelParams):
-    """Cellwise diffusion coefficient u^(l-1) v and taxis coefficient u^l v
-    are built from a single power evaluation."""
+def _coefficients(u: np.ndarray, v: np.ndarray, params: ModelParams):
+    """Cellwise diffusion coefficient u^(l-1) v and taxis coefficient u^l v,
+    built from a single power evaluation."""
     l = params.l
     if l == 1.0:
-        return None, u  # u^0 = 1 exactly
+        return v, u * v  # u^0 = 1 exactly
     p1 = u ** (l - 1.0)
-    return p1, p1 * u
+    return p1 * v, (p1 * u) * v
 
 
 def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
                source=None) -> tuple[np.ndarray, np.ndarray]:
-    """Array-level right-hand side; `source` is an optional (f_u, f_v) pair."""
-    p1, pl = _mobilities(u, params)
-    coef_d = v if p1 is None else p1 * v
-    coef_t = pl * v
-    du = np.zeros_like(u)
-    dv = np.zeros_like(v)
-    mean = params.face_mean
+    """Array-level right-hand side; `source` is an optional (f_u, f_v) pair.
+
+    Per axis the face differences, face means and the two fluxes divided by
+    h are each formed once; the operation order is that of
+    `grid.interior_face_gradient` and `grid.interior_face_mean`.
+    """
+    coef_d, coef_t = _coefficients(u, v, params)
+    harmonic = params.face_mean == "harmonic"
+    du = np.zeros(u.shape)
+    dv = np.zeros(v.shape)
     for axis, ha in enumerate(grid.h):
-        gu = interior_face_gradient(u, axis, ha)
-        gv = interior_face_gradient(v, axis, ha)
-        df = interior_face_mean(coef_d, axis, mean)
-        tf = interior_face_mean(coef_t, axis, mean)
-        flux = df * gu - tf * gv
         lo, hi = _axis_slices(u.ndim, axis)
-        du[lo] += flux / ha
-        du[hi] -= flux / ha
-        dv[lo] += gv / ha
-        dv[hi] -= gv / ha
+        gu = (u[hi] - u[lo]) / ha
+        gv = (v[hi] - v[lo]) / ha
+        d0, d1 = coef_d[lo], coef_d[hi]
+        t0, t1 = coef_t[lo], coef_t[hi]
+        if harmonic:
+            flux = (2.0 * d0 * d1 / (d0 + d1) * gu
+                    - 2.0 * t0 * t1 / (t0 + t1) * gv)
+        else:
+            flux = 0.5 * (d0 + d1) * gu - 0.5 * (t0 + t1) * gv
+        flux /= ha
+        gv /= ha
+        du[lo] += flux
+        du[hi] -= flux
+        dv[lo] += gv
+        dv[hi] -= gv
     r = u * v
     du += r
     dv -= r
@@ -147,15 +150,13 @@ def stability_dt(state: State, params: ModelParams,
     u^(l-1) v, and the taxis mobility u^l v scaled by the largest nutrient
     face gradient.
     """
-    u = state.u.values
     v = state.v.values
     grid = state.grid
-    p1, pl = _mobilities(u, params)
-    coef_d = v if p1 is None else p1 * v
-    coef_t = pl * v
+    coef_d, coef_t = _coefficients(state.u.values, v, params)
     gv_max = 0.0
     for axis, ha in enumerate(grid.h):
-        g = np.abs(np.diff(v, axis=axis)).max() / ha
+        lo, hi = _axis_slices(v.ndim, axis)
+        g = np.abs(v[hi] - v[lo]).max() / ha
         if g > gv_max:
             gv_max = g
     dmax = max(1.0, float(coef_d.max()), float(coef_t.max()) * gv_max)

@@ -32,6 +32,8 @@ from taxisim.diagnostics import full_record, weighted_gradient
 from taxisim.experiments import epsilon_continuation, refinement_study
 from taxisim.presets import make_initial
 
+pytestmark = pytest.mark.acceptance
+
 # tolerances, pinned once
 CONSERVATION_RTOL = 1e-10
 STEP_MONOTONE_TOL = 1e-12

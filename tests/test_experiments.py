@@ -163,6 +163,25 @@ seed = 5
         assert (tmp_path / "a" / "series.csv").read_bytes() \
             == (tmp_path / "b" / "series.csv").read_bytes()
 
+    @pytest.mark.parametrize("T, interval, times", [
+        (0.01, 0.003, [0.0, 0.003, 0.006, 0.009000000000000001, 0.01]),
+        (0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),  # 3 * 0.1 lands one ulp past T
+    ])
+    def test_state_at_T_recorded_once(self, tmp_path, T, interval, times):
+        cfg = parse_config(f"""
+grid.nx = 8
+model.l = 2
+model.epsilon = 0.01
+time.T = {T}
+init.preset = constant
+diagnostics.sample_interval = {interval}
+""")
+        res = run_scenario(cfg, str(tmp_path))
+        assert res.manifest["status"] == "success"
+        assert [rec.t for rec in res.records] == times
+        lines = (tmp_path / "series.csv").read_text().strip().split("\n")
+        assert len(lines) == len(times) + 1
+
     def test_step_failure_recorded(self, tmp_path):
         cfg = small_config(**{"init.a": 1e9, "init.b": 1e-6,
                               "time.dt_min": 1e-3})

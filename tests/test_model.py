@@ -14,6 +14,8 @@ from taxisim import (
     rhs,
     stability_dt,
 )
+from taxisim.grid import _axis_slices
+from taxisim.model import rhs_arrays
 
 
 def grid1d(n=32, L=1.0):
@@ -175,3 +177,74 @@ class TestStabilityDt:
             st = random_state(g, seed, lo=1e-3, hi=50.0)
             dt = stability_dt(st, ModelParams(l=3.0, epsilon=0.01))
             assert dt > 0.0 and np.isfinite(dt)
+
+
+# The np.diff / zeros_like forms the one-pass model replaced, kept as
+# references: the current kernels must reproduce them bit for bit.
+def reference_coefficients(u, v, l):
+    p1, pl = (None, u) if l == 1.0 else (u ** (l - 1.0), u ** (l - 1.0) * u)
+    return (v if p1 is None else p1 * v), pl * v
+
+
+def reference_rhs_arrays(u, v, grid, params, source=None):
+    coef_d, coef_t = reference_coefficients(u, v, params.l)
+
+    def face_mean(a, axis):
+        lo, hi = _axis_slices(a.ndim, axis)
+        a0, a1 = a[lo], a[hi]
+        if params.face_mean == "arithmetic":
+            return 0.5 * (a0 + a1)
+        return 2.0 * a0 * a1 / (a0 + a1)
+
+    du = np.zeros_like(u)
+    dv = np.zeros_like(v)
+    for axis, ha in enumerate(grid.h):
+        gu = np.diff(u, axis=axis) / ha
+        gv = np.diff(v, axis=axis) / ha
+        flux = face_mean(coef_d, axis) * gu - face_mean(coef_t, axis) * gv
+        lo, hi = _axis_slices(u.ndim, axis)
+        du[lo] += flux / ha
+        du[hi] -= flux / ha
+        dv[lo] += gv / ha
+        dv[hi] -= gv / ha
+    r = u * v
+    du += r
+    dv -= r
+    if source is not None:
+        du += source[0]
+        dv += source[1]
+    return du, dv
+
+
+def reference_stability_dt(state, params, safety=0.4):
+    v, grid = state.v.values, state.grid
+    coef_d, coef_t = reference_coefficients(state.u.values, v, params.l)
+    gv_max = 0.0
+    for axis, ha in enumerate(grid.h):
+        gv_max = max(gv_max, np.abs(np.diff(v, axis=axis)).max() / ha)
+    dmax = max(1.0, float(coef_d.max()), float(coef_t.max()) * gv_max)
+    hmin = min(grid.h)
+    return safety * hmin * hmin / (2.0 * grid.dim * dmax)
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("l", [1.0, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("mean", ["arithmetic", "harmonic"])
+    @pytest.mark.parametrize("make_grid", [lambda: grid1d(37, L=3.0),
+                                           lambda: Grid(Domain((2.0, 1.5)),
+                                                        (11, 9))])
+    def test_bit_identical(self, l, mean, make_grid):
+        g = make_grid()
+        params = ModelParams(l=l, epsilon=0.01, face_mean=mean)
+        rng = np.random.default_rng(7)
+        source = (rng.normal(size=g.shape), rng.normal(size=g.shape))
+        for seed in range(3):
+            st = random_state(g, seed, lo=0.01, hi=4.0)
+            u, v = st.u.values, st.v.values
+            for src in (None, source):
+                du, dv = rhs_arrays(u, v, g, params, src)
+                ru, rv = reference_rhs_arrays(u, v, g, params, src)
+                assert np.array_equal(du, ru) and np.array_equal(dv, rv)
+            for safety in (0.4, 1.0):
+                assert (stability_dt(st, params, safety)
+                        == reference_stability_dt(st, params, safety))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,9 @@ from taxisim import (
     run_until,
     step,
 )
+import taxisim.stepper
+from taxisim.model import rhs_arrays, stability_dt
+from taxisim.stepper import _acceptable
 
 
 def grid1d(n=32, L=1.0):
@@ -175,3 +179,95 @@ class TestRunUntil:
         out = run_until(st, 0.5, PARAMS, StepControl(), observer=obs)
         bound = min_v0 * math.exp(-c1[0] * 0.5) - 1e-6
         assert out.v.values.min() >= bound
+
+
+def reference_step(state, params, ctrl, dt_max=None):
+    """The step loop before the one-pass rewrite: isfinite-based acceptance
+    and the consumption sum re-taken on every halving."""
+    grid = state.grid
+    u, v = state.u.values, state.v.values
+    dt = stability_dt(state, params, ctrl.safety)
+    if dt_max is not None:
+        dt = min(dt, dt_max)
+    du, dv = rhs_arrays(u, v, grid, params)
+    for _ in range(ctrl.max_halvings + 1):
+        un = u + dt * du
+        vn = v + dt * dv
+        consumed = dt * float(np.sum(u * v)) * grid.cell_volume
+        if (np.isfinite(un).all() and un.min() > 0.0
+                and np.isfinite(vn).all() and vn.min() > 0.0):
+            return un, vn, state.t + dt, state.cumulative_uv + consumed
+        dt *= 0.5
+    raise AssertionError("reference step did not accept")
+
+
+def halving_state(seed):
+    # u large, v small: the CFL step drives v negative and must be halved
+    g = Grid(Domain((3.0,)), (16,))  # cell volume 3/16 rounds products
+    rng = np.random.default_rng(seed)
+    return State(u=ScalarField(g, rng.uniform(50.0, 150.0, 16)),
+                 v=ScalarField(g, rng.uniform(5e-4, 2e-3, 16)),
+                 t=0.25)
+
+
+class TestOnePassStep:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0,
+                                     -1.0, 5e-324, 1e-300, 1.0])
+    def test_acceptable_matches_isfinite_form(self, bad):
+        for shape in ((5,), (3, 4)):
+            a = np.full(shape, 2.0)
+            a.flat[len(a.flat) // 2] = bad
+            expected = bool(np.isfinite(a).all() and a.min() > 0.0)
+            assert _acceptable(a) is expected
+
+    @pytest.mark.parametrize("l", [1.0, 2.0])
+    def test_forced_halving_matches_reference(self, l):
+        params = ModelParams(l=l, epsilon=0.01)
+        ctrl = StepControl()
+        for seed in range(6):
+            st = halving_state(seed)
+            new = step(st, params, ctrl)
+            un, vn, t, cum = reference_step(st, params, ctrl)
+            assert new.t - st.t < stability_dt(st, params, ctrl.safety)
+            assert np.array_equal(new.u.values, un)
+            assert np.array_equal(new.v.values, vn)
+            assert new.t == t and new.cumulative_uv == cum
+
+
+class TestTracingContract:
+    """Benchmark tracing wraps `stepper.stability_dt` and `stepper.rhs_arrays`
+    and reads each halving from dt; `step` must call both exactly once,
+    through the stepper module's names, and accept min(CFL, dt_max) / 2**k."""
+
+    @pytest.mark.parametrize("dt_max", [None, 0.007, 1e-9])
+    def test_one_call_each_and_halved_dt(self, monkeypatch, dt_max):
+        calls = {"stability_dt": [], "rhs_arrays": 0}
+
+        def counted_dt(*args, **kwargs):
+            dt = stability_dt(*args, **kwargs)
+            calls["stability_dt"].append(dt)
+            return dt
+
+        def counted_rhs(*args, **kwargs):
+            calls["rhs_arrays"] += 1
+            return rhs_arrays(*args, **kwargs)
+
+        monkeypatch.setattr(taxisim.stepper, "stability_dt", counted_dt)
+        monkeypatch.setattr(taxisim.stepper, "rhs_arrays", counted_rhs)
+        params = ModelParams(l=1.0, epsilon=0.01)
+        halvings = []
+        st = halving_state(4)
+        for n in range(1, 6):
+            # from t = 0 the new clock is the accepted dt, with no rounding
+            new = step(dataclasses.replace(st, t=0.0), params, StepControl(),
+                       dt_max=dt_max)
+            assert len(calls["stability_dt"]) == calls["rhs_arrays"] == n
+            start = calls["stability_dt"][-1]
+            if dt_max is not None:
+                start = min(start, dt_max)
+            k = round(math.log2(start / new.t))
+            assert k >= 0 and new.t == start / 2 ** k
+            halvings.append(k)
+            st = new
+        if dt_max != 1e-9:
+            assert max(halvings) > 0  # the halving path was exercised
