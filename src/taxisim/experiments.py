@@ -7,18 +7,13 @@ import datetime as _dt
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_to_dict
-from .diagnostics import (
-    FunctionalRecord,
-    full_record,
-    write_series,
-)
+from .diagnostics import full_record, write_series
 from .grid import Domain, Grid, ScalarField, integrate, lp_norm, write_field
 from .model import State, regularize_initial
 from .presets import make_initial
@@ -83,23 +78,14 @@ def _tlabel(t: float) -> str:
 
 def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
     """Run one simulation, sampling a FunctionalRecord every sample interval
-    and writing series.csv, snapshots, optional PGM rasters, and a manifest."""
+    and writing series.csv, snapshots, optional PGM rasters, and a manifest.
+
+    The manifest is written with status "running" as soon as the output
+    directory exists, and finalized however the run ends: "success",
+    "step_failure", "error" (any other exception, re-raised) or
+    "interrupted" (KeyboardInterrupt, re-raised)."""
     out_dir = out_dir or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    grid = config.grid()
-    u0, v0 = make_initial(config.preset, grid, config.preset_params,
-                          seed=config.seed)
-    state = regularize_initial(u0, v0, config.model)
-    ctrl = config.step_control()
-
-    n_samples = int(math.floor(config.T / config.sample_interval + 1e-9))
-    sample_times = [k * config.sample_interval for k in range(n_samples + 1)]
-    snapshot_times = sorted(set(float(t) for t in config.snapshot_times))
-    events = sorted(set(sample_times[1:]) | set(snapshot_times) | {config.T})
-
-    records: list[FunctionalRecord] = []
-    files: list[str] = []
-    images: dict = {}
     manifest = {
         "config": config_to_dict(config),
         "version": __version__,
@@ -107,6 +93,14 @@ def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
         "status": "running",
         "children": [],
     }
+    _write_manifest(out_dir, manifest)
+    files: list[str] = []
+    images: dict = {}
+
+    n_samples = int(math.floor(config.T / config.sample_interval + 1e-9))
+    sample_times = [k * config.sample_interval for k in range(n_samples + 1)]
+    snapshot_times = sorted(set(float(t) for t in config.snapshot_times))
+    events = sorted(set(sample_times[1:]) | set(snapshot_times) | {config.T})
 
     def is_sample(t: float) -> bool:
         k = round(t / config.sample_interval)
@@ -124,41 +118,52 @@ def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
                 images[pname] = {"min": lo, "max": hi}
                 files.append(pname)
 
-    records.append(full_record(state, config.model, config.p_list,
-                               config.q_alpha))
-    snap_set = set(snapshot_times)
-    if any(abs(t) <= 1e-12 for t in snap_set):
-        emit_snapshot(state)
-        snap_set = {t for t in snap_set if abs(t) > 1e-12}
-
-    status = "success"
-    error = None
     try:
-        for target in events:
-            if target <= 0.0:
-                continue
-            state = run_until(state, target, config.model, ctrl)
-            # the state at T is always recorded; no time gets two rows
-            if ((target == config.T or is_sample(state.t))
-                    and state.t != records[-1].t):
-                records.append(full_record(state, config.model, config.p_list,
-                                           config.q_alpha))
-            if any(abs(state.t - ts) <= 1e-9 * max(1.0, ts) for ts in snap_set):
-                emit_snapshot(state)
-    except StepFailure as exc:
-        status = "step_failure"
-        error = str(exc)
-        state = exc.state
+        grid = config.grid()
+        u0, v0 = make_initial(config.preset, grid, config.preset_params,
+                              seed=config.seed)
+        state = regularize_initial(u0, v0, config.model)
+        ctrl = config.step_control()
 
-    write_series(os.path.join(out_dir, "series.csv"), records,
-                 config.p_list, config.q_alpha)
-    files.insert(0, "series.csv")
-    manifest.update(status=status, finished=_now(), files=files)
-    if images:
-        manifest["images"] = images
-    if error:
-        manifest["error"] = error
-    _write_manifest(out_dir, manifest)
+        records = [full_record(state, config.model, config.p_list,
+                               config.q_alpha)]
+        snap_set = set(snapshot_times)
+        if any(abs(t) <= 1e-12 for t in snap_set):
+            emit_snapshot(state)
+            snap_set = {t for t in snap_set if abs(t) > 1e-12}
+
+        try:
+            for target in events:
+                if target <= 0.0:
+                    continue
+                state = run_until(state, target, config.model, ctrl)
+                # the state at T is always recorded; no time gets two rows
+                if ((target == config.T or is_sample(state.t))
+                        and state.t != records[-1].t):
+                    records.append(full_record(state, config.model,
+                                               config.p_list, config.q_alpha))
+                if any(abs(state.t - ts) <= 1e-9 * max(1.0, ts)
+                       for ts in snap_set):
+                    emit_snapshot(state)
+            manifest["status"] = "success"
+        except StepFailure as exc:
+            manifest.update(status="step_failure", error=str(exc))
+            state = exc.state
+
+        write_series(os.path.join(out_dir, "series.csv"), records,
+                     config.p_list, config.q_alpha)
+        files.insert(0, "series.csv")
+    except KeyboardInterrupt:
+        manifest["status"] = "interrupted"
+        raise
+    except Exception as exc:
+        manifest.update(status="error", error=f"{type(exc).__name__}: {exc}")
+        raise
+    finally:
+        manifest.update(finished=_now(), files=files)
+        if images:
+            manifest["images"] = images
+        _write_manifest(out_dir, manifest)
     return RunResult(manifest=manifest, final_state=state, records=records)
 
 
@@ -170,6 +175,9 @@ def _run_child(args) -> RunResult:
 def _map_runs(tasks, jobs: int):
     if jobs <= 1:
         return [_run_child(task) for task in tasks]
+    # imported here: it pulls in multiprocessing, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_child, tasks))
 

@@ -118,9 +118,23 @@ def fit_constant(family, check, **params) -> float:
     return best
 
 
-def _random_smooth(rng: np.random.Generator, grid: Grid, modes: int,
-                   lo: float, hi: float) -> ScalarField:
-    coords = grid.meshgrid()
+def _cosine_tables(grid: Grid, modes: int) -> list[list[np.ndarray]]:
+    """Per axis, cos(k pi x / L) at the cell centers for k = 1..modes, each
+    shaped to broadcast along its axis."""
+    tables = []
+    for axis in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[axis] = grid.shape[axis]
+        x = grid.centers(axis).reshape(shape)
+        length = grid.domain.lengths[axis]
+        tables.append([np.cos(k * np.pi * x / length)
+                       for k in range(1, modes + 1)])
+    return tables
+
+
+def _random_smooth(rng: np.random.Generator, grid: Grid, tables, lo: float,
+                   hi: float) -> ScalarField:
+    modes = len(tables[0])
     raw = np.zeros(grid.shape)
     if grid.dim == 1:
         ks = [(k,) for k in range(1, modes + 1)]
@@ -128,12 +142,10 @@ def _random_smooth(rng: np.random.Generator, grid: Grid, modes: int,
         ks = [(kx, ky) for kx in range(modes + 1) for ky in range(modes + 1)
               if (kx, ky) != (0, 0)]
     for k in ks:
-        amp = rng.normal()
-        term = np.ones(grid.shape) * amp
+        term = rng.normal()
         for axis, ka in enumerate(k):
             if ka:
-                term = term * np.cos(ka * np.pi * coords[axis]
-                                     / grid.domain.lengths[axis])
+                term = term * tables[axis][ka - 1]
         raw += term
     span = raw.max() - raw.min()
     if span < 1e-30:
@@ -146,13 +158,14 @@ def cosine_family(grid: Grid, count: int, seed: int, modes: int = 3,
                   lo_range=(0.1, 1.0), hi_range=(1.0, 10.0)):
     """Seeded list of (phi, psi) pairs of smooth positive fields."""
     rng = np.random.default_rng(seed)
+    tables = _cosine_tables(grid, modes)
     pairs = []
     for _ in range(count):
         lo = rng.uniform(*lo_range)
         hi = rng.uniform(*hi_range)
-        phi = _random_smooth(rng, grid, modes, lo, hi)
+        phi = _random_smooth(rng, grid, tables, lo, hi)
         lo = rng.uniform(*lo_range)
         hi = rng.uniform(*hi_range)
-        psi = _random_smooth(rng, grid, modes, lo, hi)
+        psi = _random_smooth(rng, grid, tables, lo, hi)
         pairs.append((phi, psi))
     return pairs

@@ -10,20 +10,22 @@ bounded away from zero, so the forced runs measure scheme order rather than
 degeneracy handling.  Source terms are derived symbolically with sympy; an
 independent arbitrary-precision finite-difference oracle (mpmath) re-derives
 the strong-form residual at random points before any study is trusted.
+sympy and mpmath are imported by the functions that use them, so importing
+this module (and every command but `refine`) costs only numpy.
 """
 from __future__ import annotations
 
 import functools
 import math
 
-import mpmath
 import numpy as np
-import sympy as sp
 
 __all__ = ["exact_u", "exact_v", "build_sources", "residual_check"]
 
 
 def _symbolic_pair():
+    import sympy as sp
+
     x, t = sp.symbols("x t", real=True)
     u = 2 + sp.cos(sp.pi * x) * sp.exp(-t)
     v = 2 + sp.cos(sp.pi * x) * sp.exp(-t) / 2
@@ -42,6 +44,8 @@ def exact_v(x, t):
 def build_sources(l: float):
     """Numpy-callable forcing (f_u(x,t), f_v(x,t)) that makes the exact pair
     solve the forced system for exponent l."""
+    import sympy as sp
+
     x, t, u, v = _symbolic_pair()
     fu = (u.diff(t)
           - (u ** (l - 1) * v * u.diff(x)).diff(x)
@@ -56,6 +60,8 @@ def residual_check(l: float, npoints: int = 10, seed: int = 0) -> float:
     """Max strong-form residual of the forced system at random (x,t) points,
     with every derivative taken by high-precision numerical differentiation
     (independent of the symbolic route that produced the sources)."""
+    import mpmath
+
     fu, fv = build_sources(l)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.05, 0.95, size=(npoints, 2))

@@ -5,7 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from taxisim import Domain, Grid, ScalarField, parse_config, read_field
+from taxisim import (
+    Domain,
+    Grid,
+    ScalarField,
+    experiments,
+    parse_config,
+    read_field,
+)
 from taxisim.experiments import (
     epsilon_continuation,
     l_sweep,
@@ -191,6 +198,35 @@ diagnostics.sample_interval = {interval}
         manifest = check_manifest(str(tmp_path))  # partial outputs retained
         assert "series.csv" in manifest["files"]
 
+    @pytest.mark.parametrize("exc_type, status", [
+        (RuntimeError, "error"),
+        (KeyboardInterrupt, "interrupted"),
+    ])
+    def test_crash_finalizes_manifest(self, tmp_path, monkeypatch, exc_type,
+                                      status):
+        real = experiments.full_record
+        calls = []
+
+        def failing_record(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise exc_type("disk on fire")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "full_record", failing_record)
+        cfg = small_config(**{"output.snapshot_times": "0"})
+        with pytest.raises(exc_type):
+            run_scenario(cfg, str(tmp_path))
+        manifest = check_manifest(str(tmp_path))
+        assert manifest["status"] == status
+        assert "finished" in manifest
+        if exc_type is RuntimeError:
+            assert manifest["error"] == "RuntimeError: disk on fire"
+        else:
+            assert "error" not in manifest
+        assert "series.csv" not in manifest["files"]
+        assert "u_0.field" in manifest["files"]
+
 
 class TestEpsilonContinuation:
     def test_two_values_one_row(self, tmp_path):
@@ -252,3 +288,20 @@ class TestLSweep:
         assert all(math.isfinite(float(x)) for x in parts[1:-1])
         child = check_manifest(str(tmp_path / "l_2.5"))
         assert child["config"]["model"]["l"] == 2.5
+
+    def test_pool_matches_serial(self, tmp_path):
+        cfg = parse_config("""
+grid.nx = 16
+model.l = 2
+model.epsilon = 0.01
+time.T = 0.02
+init.preset = perturbed_front
+init.noise_amp = 0.05
+diagnostics.sample_interval = 0.01
+""")
+        for jobs in (1, 2):
+            man = l_sweep(cfg, [1.5, 2.5], str(tmp_path / f"jobs{jobs}"),
+                          jobs=jobs)
+            assert man["status"] == "success"
+        assert (tmp_path / "jobs1" / "sweep_summary.csv").read_bytes() \
+            == (tmp_path / "jobs2" / "sweep_summary.csv").read_bytes()

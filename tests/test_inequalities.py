@@ -177,3 +177,49 @@ class TestCosineFamily:
         for phi, psi in pairs:
             assert phi.values.shape == (16, 16)
             assert phi.values.min() > 0.0
+
+    @staticmethod
+    def reference_smooth(rng, grid, modes, lo, hi):
+        """The original sampler: np.cos of full meshgrids for every mode."""
+        coords = grid.meshgrid()
+        raw = np.zeros(grid.shape)
+        if grid.dim == 1:
+            ks = [(k,) for k in range(1, modes + 1)]
+        else:
+            ks = [(kx, ky) for kx in range(modes + 1)
+                  for ky in range(modes + 1) if (kx, ky) != (0, 0)]
+        for k in ks:
+            amp = rng.normal()
+            term = np.ones(grid.shape) * amp
+            for axis, ka in enumerate(k):
+                if ka:
+                    term = term * np.cos(ka * np.pi * coords[axis]
+                                         / grid.domain.lengths[axis])
+            raw += term
+        span = raw.max() - raw.min()
+        if span < 1e-30:
+            return ScalarField.full(grid, 0.5 * (lo + hi))
+        return ScalarField(grid, lo + (hi - lo) * (raw - raw.min()) / span)
+
+    @pytest.mark.parametrize("lengths, shape", [
+        ((1.0,), (64,)),
+        ((10.0,), (37,)),
+        ((1.0, 1.0), (64, 64)),
+        ((2.0, 3.5), (48, 80)),
+    ])
+    @pytest.mark.parametrize("seed, modes", [(0, 3), (1, 3), (7, 5)])
+    def test_matches_reference_bitwise(self, lengths, shape, seed, modes):
+        g = Grid(Domain(lengths), shape)
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(4):
+            pair = []
+            for _ in range(2):
+                lo = rng.uniform(0.1, 1.0)
+                hi = rng.uniform(1.0, 10.0)
+                pair.append(self.reference_smooth(rng, g, modes, lo, hi))
+            expected.append(pair)
+        got = cosine_family(g, 4, seed, modes=modes)
+        for (phi, psi), (ref_phi, ref_psi) in zip(got, expected):
+            assert np.array_equal(phi.values, ref_phi.values)
+            assert np.array_equal(psi.values, ref_psi.values)

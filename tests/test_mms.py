@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import taxisim
 from taxisim.mms import build_sources, exact_u, exact_v, residual_check
 
 
@@ -52,3 +57,28 @@ class TestSources:
     def test_residual_deterministic(self):
         assert residual_check(2.0, npoints=3, seed=1) \
             == residual_check(2.0, npoints=3, seed=1)
+
+
+class TestLazyImports:
+    """sympy, mpmath and the process pool load only where they are used."""
+
+    HEAVY = ("sympy", "mpmath", "concurrent.futures.process")
+
+    def loaded_after(self, code):
+        src = os.path.dirname(os.path.dirname(taxisim.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        probe = (f"import sys\n{code}\n"
+                 f"print(','.join(m for m in {self.HEAVY!r} if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        return set(filter(None, out.stdout.strip().split(",")))
+
+    def test_cli_import_is_light(self):
+        assert self.loaded_after("import taxisim.cli") == set()
+
+    def test_building_sources_loads_sympy(self):
+        loaded = self.loaded_after(
+            "import taxisim.mms\ntaxisim.mms.build_sources(2.0)")
+        assert "sympy" in loaded
