@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, face_sums, integrate, lp_norm
+from .grid import ScalarField, face_sums, integrate, integrate_array, lp_norm
 from .model import ModelParams, PositivityViolation, State
 
 __all__ = [
@@ -132,14 +132,14 @@ def _energy_G(u: ScalarField, params: ModelParams, f4: float) -> float:
     l, b = params.l, params.b
     case = energy_case(l)
     if case == "u_log_u":
-        ent = integrate(ScalarField(u.grid, u.values * np.log(u.values), copy=False))
+        ent = integrate_array(u.grid, u.values * np.log(u.values))
         return 4.0 * b * ent + f4
     if case == "neg_log_u":
-        ent = integrate(ScalarField(u.grid, np.log(u.values), copy=False))
+        ent = integrate_array(u.grid, np.log(u.values))
         return -4.0 * b * ent + f4
     if case == "undefined":
         return f4
-    power = integrate(ScalarField(u.grid, u.values ** (3.0 - l), copy=False))
+    power = integrate_array(u.grid, u.values ** (3.0 - l))
     if case == "neg_power":
         return -4.0 * b / ((3.0 - l) * (l - 2.0)) * power + f4
     return 4.0 * b / ((l - 3.0) * (l - 2.0)) * power + f4
@@ -150,8 +150,8 @@ def _entropy(state: State, params: ModelParams) -> float:
     integral of u^(2-l) away from l = 2, integral of ln u at l = 2."""
     u = state.u
     if abs(params.l - 2.0) < _L_EQ_TOL:
-        return integrate(ScalarField(u.grid, np.log(u.values), copy=False))
-    return integrate(ScalarField(u.grid, u.values ** (2.0 - params.l), copy=False))
+        return integrate_array(u.grid, np.log(u.values))
+    return integrate_array(u.grid, u.values ** (2.0 - params.l))
 
 
 def full_record(state: State, params: ModelParams, p_list,
@@ -170,7 +170,6 @@ def full_record(state: State, params: ModelParams, p_list,
         grads=(u.values, v.values), means=(u.values, v.values))
     diss_u, diss_v, grad_v_sq, grad_v_sq_over_v = sums[:4]
     quotient_sums = dict(zip(quotients, sums[4:]))
-    uv2 = ScalarField(u.grid, u.values * u.values * v.values, copy=False)
     lp_u = {float(p): lp_norm(u, float(p)) for p in p_list}
     lp_u[math.inf] = lp_norm(u, math.inf)
     return FunctionalRecord(
@@ -186,7 +185,7 @@ def full_record(state: State, params: ModelParams, p_list,
         grad_v_sq=grad_v_sq,
         grad_v_sq_over_v=grad_v_sq_over_v,
         weighted_q={qa: quotient_sums[qa] for qa in q_alpha},
-        weighted_L2=integrate(uv2),
+        weighted_L2=integrate_array(u.grid, u.values * u.values * v.values),
         lp_u=lp_u,
         entropy=_entropy(state, params),
         energy_G=_energy_G(u, params, quotient_sums[(4.0, 3.0)]),

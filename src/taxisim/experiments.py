@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, config_to_dict
 from .diagnostics import full_record, write_series
-from .grid import Domain, Grid, ScalarField, integrate, lp_norm, write_field
+from .grid import Domain, Grid, ScalarField, lp_norm, write_field
 from .model import State, regularize_initial
 from .presets import make_initial
 from .stepper import StepFailure, run_until
@@ -211,9 +211,21 @@ def epsilon_continuation(config: RunConfig, eps_list, out_dir: str | None = None
         tasks.append((child, os.path.join(out_dir, sub)))
         children.append(sub)
     results = _map_runs(tasks, jobs)
-    for res, sub in zip(results, children):
-        if res.manifest["status"] != "success":
-            raise StepFailure(f"child run {sub} failed", res.final_state)
+    manifest = {
+        "config": config_to_dict(config),
+        "version": __version__,
+        "started": results[0].manifest["started"],
+        "children": children,
+        "eps_list": eps_list,
+    }
+    failed = [(sub, res) for sub, res in zip(children, results)
+              if res.manifest["status"] != "success"]
+    if failed:
+        manifest.update(finished=_now(), status="child_failure", files=[],
+                        failed_children=[sub for sub, _ in failed])
+        _write_manifest(out_dir, manifest)
+        sub, res = failed[0]
+        raise StepFailure(f"child run {sub} failed", res.final_state)
 
     sup_f4 = [_sup_record(res.records, lambda r: r.weighted_q[(4.0, 3.0)])
               for res in results]
@@ -230,16 +242,8 @@ def epsilon_continuation(config: RunConfig, eps_list, out_dir: str | None = None
         for row in rows:
             fh.write(",".join("%.17g" % x for x in row) + "\n")
 
-    manifest = {
-        "config": config_to_dict(config),
-        "version": __version__,
-        "started": results[0].manifest["started"],
-        "finished": _now(),
-        "status": "success",
-        "files": ["continuation.csv"],
-        "children": children,
-        "eps_list": eps_list,
-    }
+    manifest.update(finished=_now(), status="success",
+                    files=["continuation.csv"])
     _write_manifest(out_dir, manifest)
     return manifest
 

@@ -18,6 +18,7 @@ __all__ = [
     "Grid",
     "ScalarField",
     "integrate",
+    "integrate_array",
     "face_gradient",
     "divergence",
     "laplacian",
@@ -134,9 +135,14 @@ def _axis_slices(ndim: int, axis: int):
     return tuple(lo), tuple(hi)
 
 
+def integrate_array(grid: Grid, a: np.ndarray) -> float:
+    """Midpoint-rule integral of the cell values `a` over the grid's domain."""
+    return float(np.sum(a)) * grid.cell_volume
+
+
 def integrate(f: ScalarField) -> float:
     """Midpoint-rule integral over the domain."""
-    return float(np.sum(f.values)) * f.grid.cell_volume
+    return integrate_array(f.grid, f.values)
 
 
 def interior_face_gradient(values: np.ndarray, axis: int, h: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, ScalarField, face_sums, integrate
+from .grid import Grid, ScalarField, face_sums, integrate_array
 from .model import PositivityViolation
 
 __all__ = [
@@ -53,14 +53,14 @@ def check_ineq_61(phi: ScalarField, psi: ScalarField, p: float,
     _check_positive_pair(phi, psi)
     grid = phi.grid
     f, s = phi.values, psi.values
-    lhs = integrate(ScalarField(grid, f ** (p + 1.0) * s, copy=False))
+    lhs = integrate_array(grid, f ** (p + 1.0) * s)
     diss_psi, diss_phi = face_sums(
         grid,
         (lambda gf, gs, mf, ms, w: (mf / ms) * gs * gs * w,
          lambda gf, gs, mf, ms, w: (ms / mf) * gf * gf * w),
         grads=(f, s), means=(f, s))
-    bracket = diss_psi + diss_phi + integrate(ScalarField(grid, f * s, copy=False))
-    factor = integrate(ScalarField(grid, f ** p, copy=False))
+    bracket = diss_psi + diss_phi + integrate_array(grid, f * s)
+    factor = integrate_array(grid, f ** p)
     denom = bracket * factor
     ratio = lhs / denom if denom > 0.0 else math.inf
     return IneqReport(lhs=lhs,
@@ -89,13 +89,13 @@ def check_ineq_64(phi: ScalarField, psi: ScalarField, p: float, eta: float,
          lambda gf, gs, m_fp1s, m_fm1s, ms, w: gs ** 4 / ms ** 3 * w,
          lambda gf, gs, m_fp1s, m_fm1s, ms, w: m_fm1s * gf * gf * w),
         grads=(f, s), means=(fp1s, f ** (p - 1.0) * s, s))
-    int_fp1s = integrate(ScalarField(grid, fp1s, copy=False))
+    int_fp1s = integrate_array(grid, fp1s)
     terms = {
         "eta_grad_phi": eta * grad_phi,
         "mixed": (sup_psi + sup_psi ** 3 / eta) * int_fp1s * f4,
         "mass_power": sup_psi ** 2
-        * integrate(ScalarField(grid, f, copy=False)) ** (2.0 * p + 1.0) * f4,
-        "base": sup_psi ** 2 * integrate(ScalarField(grid, f * s, copy=False)),
+        * integrate_array(grid, f) ** (2.0 * p + 1.0) * f4,
+        "base": sup_psi ** 2 * integrate_array(grid, f * s),
     }
     denom = sum(terms.values())
     if lhs == 0.0:

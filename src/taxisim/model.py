@@ -9,7 +9,10 @@ discrete total mass of u + v exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,14 +90,49 @@ def regularize_initial(u0: ScalarField, v0: ScalarField,
     return State(u=u, v=v0.copy(), t=0.0, cumulative_uv=0.0)
 
 
-def _coefficients(u: np.ndarray, v: np.ndarray, params: ModelParams):
+class _Scratch(NamedTuple):
+    """Work arrays of one grid, overwritten by every `rhs_arrays` and
+    `stability_dt` call on that grid."""
+
+    coef_d: np.ndarray
+    coef_t: np.ndarray
+    uv: np.ndarray
+    # per axis: (h, lo, hi, faces), with `faces` four interior-face views of
+    # buffers that every axis shares
+    axes: tuple
+
+
+@functools.lru_cache(maxsize=4)
+def _scratch(grid: Grid) -> _Scratch:
+    """The grid's work arrays, allocated on first use and then reused, so a
+    step allocates only the arrays it returns.  Calls on one grid must not
+    run concurrently in threads of one process."""
+    face_shapes = [tuple(n - (a == axis) for a, n in enumerate(grid.shape))
+                   for axis in range(grid.dim)]
+    flat = np.empty((4, max(map(math.prod, face_shapes))))
+    axes = tuple((ha, *_axis_slices(grid.dim, axis),
+                  tuple(b[:math.prod(s)].reshape(s) for b in flat))
+                 for axis, (ha, s) in enumerate(zip(grid.h, face_shapes)))
+    return _Scratch(np.empty(grid.shape), np.empty(grid.shape),
+                    np.empty(grid.shape), axes)
+
+
+def _coefficients(u: np.ndarray, v: np.ndarray, params: ModelParams,
+                  work: _Scratch):
     """Cellwise diffusion coefficient u^(l-1) v and taxis coefficient u^l v,
-    built from a single power evaluation."""
+    built from a single power evaluation into the work arrays."""
     l = params.l
+    cd, ct = work.coef_d, work.coef_t
     if l == 1.0:
-        return v, u * v  # u^0 = 1 exactly
-    p1 = u ** (l - 1.0)
-    return p1 * v, (p1 * u) * v
+        np.multiply(u, v, out=ct)
+        return v, ct  # u^0 = 1 exactly
+    # in-place `**=` keeps the `**` operator's scalar fast paths (0.5 -> sqrt)
+    np.copyto(cd, u)
+    cd **= l - 1.0
+    np.multiply(cd, u, out=ct)
+    ct *= v
+    cd *= v
+    return cd, ct
 
 
 def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
@@ -102,31 +140,47 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
     """Array-level right-hand side; `source` is an optional (f_u, f_v) pair.
 
     Per axis the face differences, face means and the two fluxes divided by
-    h are each formed once; the operation order is that of
-    `grid.interior_face_gradient` and `grid.interior_face_mean`.
+    h are each formed once, in the grid's work arrays; the operation order is
+    that of `grid.interior_face_gradient` and `grid.interior_face_mean`.  The
+    returned arrays are freshly allocated.
     """
-    coef_d, coef_t = _coefficients(u, v, params)
+    work = _scratch(grid)
+    coef_d, coef_t = _coefficients(u, v, params, work)
     harmonic = params.face_mean == "harmonic"
     du = np.zeros(u.shape)
     dv = np.zeros(v.shape)
-    for axis, ha in enumerate(grid.h):
-        lo, hi = _axis_slices(u.ndim, axis)
-        gu = (u[hi] - u[lo]) / ha
-        gv = (v[hi] - v[lo]) / ha
+    for ha, lo, hi, (gu, gv, flux, den) in work.axes:
+        np.subtract(u[hi], u[lo], out=gu)
+        gu /= ha
+        np.subtract(v[hi], v[lo], out=gv)
+        gv /= ha
         d0, d1 = coef_d[lo], coef_d[hi]
         t0, t1 = coef_t[lo], coef_t[hi]
+        # flux = mean(coef_d) * gu - mean(coef_t) * gv; gu then holds the
+        # taxis term
         if harmonic:
-            flux = (2.0 * d0 * d1 / (d0 + d1) * gu
-                    - 2.0 * t0 * t1 / (t0 + t1) * gv)
+            np.multiply(2.0, d0, out=flux)
+            flux *= d1
+            flux /= np.add(d0, d1, out=den)
+            flux *= gu
+            np.multiply(2.0, t0, out=gu)
+            gu *= t1
+            gu /= np.add(t0, t1, out=den)
         else:
-            flux = 0.5 * (d0 + d1) * gu - 0.5 * (t0 + t1) * gv
+            np.add(d0, d1, out=flux)
+            flux *= 0.5
+            flux *= gu
+            np.add(t0, t1, out=gu)
+            gu *= 0.5
+        gu *= gv
+        flux -= gu
         flux /= ha
         gv /= ha
         du[lo] += flux
         du[hi] -= flux
         dv[lo] += gv
         dv[hi] -= gv
-    r = u * v
+    r = np.multiply(u, v, out=work.uv)
     du += r
     dv -= r
     if source is not None:
@@ -152,11 +206,12 @@ def stability_dt(state: State, params: ModelParams,
     """
     v = state.v.values
     grid = state.grid
-    coef_d, coef_t = _coefficients(state.u.values, v, params)
+    work = _scratch(grid)
+    coef_d, coef_t = _coefficients(state.u.values, v, params, work)
     gv_max = 0.0
-    for axis, ha in enumerate(grid.h):
-        lo, hi = _axis_slices(v.ndim, axis)
-        g = np.abs(v[hi] - v[lo]).max() / ha
+    for ha, lo, hi, (diff, *_) in work.axes:
+        np.subtract(v[hi], v[lo], out=diff)
+        g = np.abs(diff, out=diff).max() / ha
         if g > gv_max:
             gv_max = g
     dmax = max(1.0, float(coef_d.max()), float(coef_t.max()) * gv_max)

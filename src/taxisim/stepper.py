@@ -62,8 +62,10 @@ def step(state: State, params: ModelParams, ctrl: StepControl,
     for _ in range(ctrl.max_halvings + 1):
         if dt < ctrl.dt_min:
             raise StepFailure(f"step size {dt:.3e} fell below dt_min", state)
-        un = u + dt * du
-        vn = v + dt * dv
+        un = du * dt  # u + dt * du, bit for bit, in one new array
+        un += u
+        vn = dv * dt
+        vn += v
         if _acceptable(un) and _acceptable(vn):
             consumed = dt * uv_sum * grid.cell_volume
             return State(u=ScalarField(grid, un, copy=False),

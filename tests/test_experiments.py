@@ -241,6 +241,17 @@ class TestEpsilonContinuation:
             child_man = check_manifest(str(tmp_path / child))
             assert child_man["status"] == "success"
 
+    def test_child_failure_leaves_manifest(self, tmp_path):
+        cfg = small_config(**{"time.dt_min": 1})
+        with pytest.raises(StepFailure, match="child run eps_0.1 failed"):
+            epsilon_continuation(cfg, [0.1, 0.05], str(tmp_path))
+        manifest = check_manifest(str(tmp_path))
+        assert manifest["status"] == "child_failure"
+        assert manifest["failed_children"] == ["eps_0.1", "eps_0.05"]
+        assert manifest["children"] == ["eps_0.1", "eps_0.05"]
+        assert manifest["files"] == ["manifest.json"]
+        assert "finished" in manifest
+
     def test_rejects_nondecreasing(self, tmp_path):
         cfg = small_config()
         with pytest.raises(ValueError):

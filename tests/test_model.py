@@ -179,6 +179,22 @@ class TestStabilityDt:
             assert dt > 0.0 and np.isfinite(dt)
 
 
+class TestWorkArrays:
+    @pytest.mark.parametrize("l", [1.0, 2.0])
+    @pytest.mark.parametrize("mean", ["arithmetic", "harmonic"])
+    @pytest.mark.parametrize("make_grid", [grid1d, grid2d])
+    def test_results_outlive_the_next_call(self, l, mean, make_grid):
+        g = make_grid()
+        params = ModelParams(l=l, epsilon=0.01, face_mean=mean)
+        first, second = random_state(g, 1), random_state(g, 2)
+        du, dv = rhs_arrays(first.u.values, first.v.values, g, params)
+        kept = du.copy(), dv.copy()
+        stability_dt(second, params)
+        du2, dv2 = rhs_arrays(second.u.values, second.v.values, g, params)
+        assert np.array_equal(du, kept[0]) and np.array_equal(dv, kept[1])
+        assert not np.array_equal(du2, du)
+
+
 # The np.diff / zeros_like forms the one-pass model replaced, kept as
 # references: the current kernels must reproduce them bit for bit.
 def reference_coefficients(u, v, l):

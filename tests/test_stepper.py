@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from taxisim import (
     step,
 )
 import taxisim.stepper
+from taxisim import model
 from taxisim.model import rhs_arrays, stability_dt
 from taxisim.stepper import _acceptable
 
@@ -201,13 +203,17 @@ def reference_step(state, params, ctrl, dt_max=None):
     raise AssertionError("reference step did not accept")
 
 
-def halving_state(seed):
-    # u large, v small: the CFL step drives v negative and must be halved
-    g = Grid(Domain((3.0,)), (16,))  # cell volume 3/16 rounds products
+def halving_state(seed, grid=Grid(Domain((3.0,)), (16,))):
+    # u large, v small: the CFL step drives v negative and must be halved;
+    # the default cell volume 3/16 rounds products
     rng = np.random.default_rng(seed)
-    return State(u=ScalarField(g, rng.uniform(50.0, 150.0, 16)),
-                 v=ScalarField(g, rng.uniform(5e-4, 2e-3, 16)),
+    return State(u=ScalarField(grid, rng.uniform(50.0, 150.0, grid.shape)),
+                 v=ScalarField(grid, rng.uniform(5e-4, 2e-3, grid.shape)),
                  t=0.25)
+
+
+def halving_state_2d(seed):
+    return halving_state(seed, Grid(Domain((3.0, 1.25)), (7, 5)))
 
 
 class TestOnePassStep:
@@ -224,14 +230,57 @@ class TestOnePassStep:
     def test_forced_halving_matches_reference(self, l):
         params = ModelParams(l=l, epsilon=0.01)
         ctrl = StepControl()
-        for seed in range(6):
-            st = halving_state(seed)
-            new = step(st, params, ctrl)
-            un, vn, t, cum = reference_step(st, params, ctrl)
-            assert new.t - st.t < stability_dt(st, params, ctrl.safety)
-            assert np.array_equal(new.u.values, un)
-            assert np.array_equal(new.v.values, vn)
-            assert new.t == t and new.cumulative_uv == cum
+        for make_state in (halving_state, halving_state_2d):
+            for seed in range(6):
+                st = make_state(seed)
+                new = step(st, params, ctrl)
+                un, vn, t, cum = reference_step(st, params, ctrl)
+                assert new.t - st.t < stability_dt(st, params, ctrl.safety)
+                assert np.array_equal(new.u.values, un)
+                assert np.array_equal(new.v.values, vn)
+                assert new.t == t and new.cumulative_uv == cum
+
+
+class TestWorkArrays:
+    def test_interleaved_grids_of_one_shape(self):
+        # equal shapes, different spacings: the work arrays must not carry
+        # one grid's h into the other's step
+        grids = [Grid(Domain((1.0, 1.0)), (9, 7)),
+                 Grid(Domain((3.0, 0.5)), (9, 7))]
+        starts = [random_state(g, seed) for seed, g in enumerate(grids)]
+        ctrl = StepControl()
+        alone = []
+        for st in starts:
+            model._scratch.cache_clear()
+            run = []
+            for _ in range(4):
+                st = step(st, PARAMS, ctrl)
+                run.append(st)
+            alone.append(run)
+        model._scratch.cache_clear()
+        states = list(starts)
+        for k in range(4):
+            for i, ref in enumerate(alone):
+                states[i] = step(states[i], PARAMS, ctrl)
+                assert np.array_equal(states[i].u.values, ref[k].u.values)
+                assert np.array_equal(states[i].v.values, ref[k].v.values)
+                assert states[i].t == ref[k].t
+                assert states[i].cumulative_uv == ref[k].cumulative_uv
+
+    def test_step_allocates_at_most_five_fields(self):
+        # du, dv, un and vn are new; everything else lives in the work arrays
+        g = Grid(Domain((2.0, 2.0)), (64, 64))
+        ctrl = StepControl()
+        st = step(random_state(g, 5), PARAMS, ctrl)  # allocates the work arrays
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            step(st, PARAMS, ctrl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (8 * g.num_cells) <= 5.0
 
 
 class TestTracingContract:
