@@ -7,8 +7,11 @@ import json
 import os
 import sys
 
-from .config import load_config
+from . import __version__
+from .config import config_to_dict, load_config
 from .experiments import (
+    _now,
+    _write_manifest,
     epsilon_continuation,
     l_sweep,
     refinement_study,
@@ -23,6 +26,19 @@ def _floats(raw: str) -> list[float]:
 
 def _ints(raw: str) -> list[int]:
     return [int(x) for x in raw.split(",") if x.strip()]
+
+
+def _checked(parse, ok, need: str):
+    """Argparse type: `parse` the argument and reject any value failing
+    `ok`, so an impossible argument fails before any output exists."""
+    def convert(raw: str):
+        value = parse(raw)
+        for x in value if isinstance(value, list) else [value]:
+            if not ok(x):
+                raise argparse.ArgumentTypeError(f"{x:g} is not {need}")
+        return value
+    convert.__name__ = parse.__name__  # argparse names it in parse errors
+    return convert
 
 
 def _load(args):
@@ -69,9 +85,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("ineq", help="functional-inequality stress test")
     _add_common(p)
-    p.add_argument("--count", type=int, default=100, help="field pairs")
-    p.add_argument("--p", type=_floats, default=[1.0, 2.0])
-    p.add_argument("--eta", type=_floats, default=[0.1, 1.0, 10.0])
+    p.add_argument("--count", type=_checked(int, lambda n: n >= 1, ">= 1"),
+                   default=100, help="field pairs, at least 1")
+    p.add_argument("--p", type=_checked(_floats, lambda x: x >= 1.0, ">= 1"),
+                   default=[1.0, 2.0],
+                   help="comma list of exponents, each >= 1")
+    p.add_argument("--eta", type=_checked(_floats, lambda x: x > 0.0, "> 0"),
+                   default=[0.1, 1.0, 10.0],
+                   help="comma list of Young weights, each > 0")
 
     args = ap.parse_args(argv)
     cfg = _load(args)
@@ -102,39 +123,64 @@ def main(argv=None) -> int:
 
 
 def _run_ineq(cfg, args) -> int:
-    grid = cfg.grid()
-    pairs = cosine_family(grid, args.count, cfg.seed)
+    """Fit the constants of (6.1) and (6.4) over a seeded field family and
+    write ineq_reports.csv, ineq_summary.json and a manifest, finalized
+    however the run ends, as in `run_scenario`."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rows = []
-    fitted = {}
-    for p in args.p:
-        best = 0.0
-        for i, (phi, psi) in enumerate(pairs):
-            rep = check_ineq_61(phi, psi, p, field_seed=i)
-            rows.append(("6.1", i, p, "", rep.lhs, rep.rhs_terms, rep.ratio))
-            best = max(best, rep.ratio)
-        fitted[f"c61_p{p:g}"] = best
-        for eta in args.eta:
-            best = 0.0
+    manifest = {"config": config_to_dict(cfg), "version": __version__,
+                "started": _now(), "status": "running", "count": args.count,
+                "p": args.p, "eta": args.eta}
+    _write_manifest(cfg.out_dir, manifest)
+    files: list[str] = []
+    try:
+        grid = cfg.grid()
+        pairs = cosine_family(grid, args.count, cfg.seed)
+        rows = []
+        fitted = {}
+        for p in args.p:
+            sets = [("6.1", "", f"c61_p{p:g}")]
+            sets += [("6.4", f"{eta:g}", f"c64_p{p:g}_eta{eta:g}")
+                     for eta in args.eta]
+            # per set, one (field seed, lhs, rhs total, ratio) row per pair
+            columns = [[] for _ in sets]
             for i, (phi, psi) in enumerate(pairs):
-                rep = check_ineq_64(phi, psi, p, eta, field_seed=i)
-                rows.append(("6.4", i, p, eta, rep.lhs, rep.rhs_terms,
-                             rep.ratio))
-                best = max(best, rep.ratio)
-            fitted[f"c64_p{p:g}_eta{eta:g}"] = best
+                rep = check_ineq_61(phi, psi, p, field_seed=i)
+                terms = rep.rhs_terms
+                columns[0].append((i, rep.lhs,
+                                   terms["bracket"] * terms["factor"],
+                                   rep.ratio))
+            # one (6.4) face pass per pair serves every eta
+            for i, (phi, psi) in enumerate(pairs):
+                reps = check_ineq_64(phi, psi, p, args.eta, field_seed=i)
+                for column, rep in zip(columns[1:], reps):
+                    column.append((i, rep.lhs, sum(rep.rhs_terms.values()),
+                                   rep.ratio))
+            for (ineq, eta, key), column in zip(sets, columns):
+                rows += [(ineq, p, eta, *row) for row in column]
+                fitted[key] = max([0.0] + [row[-1] for row in column])
 
-    with open(os.path.join(cfg.out_dir, "ineq_reports.csv"), "w") as fh:
-        fh.write("ineq,field_seed,p,eta,lhs,rhs_total,ratio\n")
-        for ineq, i, p, eta, lhs, terms, ratio in rows:
-            total = (terms["bracket"] * terms["factor"] if ineq == "6.1"
-                     else sum(terms.values()))
-            fh.write(f"{ineq},{i},{p:g},{eta if eta == '' else '%g' % eta},"
-                     f"{lhs:.17g},{total:.17g},{ratio:.17g}\n")
-    summary = {"grid": list(grid.shape), "count": args.count,
-               "seed": cfg.seed, "fitted_constants": fitted}
-    with open(os.path.join(cfg.out_dir, "ineq_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        with open(os.path.join(cfg.out_dir, "ineq_reports.csv"), "w") as fh:
+            fh.write("ineq,field_seed,p,eta,lhs,rhs_total,ratio\n")
+            for ineq, p, eta, i, lhs, total, ratio in rows:
+                fh.write(f"{ineq},{i},{p:g},{eta},"
+                         f"{lhs:.17g},{total:.17g},{ratio:.17g}\n")
+        files.append("ineq_reports.csv")
+        summary = {"grid": list(grid.shape), "count": args.count,
+                   "seed": cfg.seed, "fitted_constants": fitted}
+        with open(os.path.join(cfg.out_dir, "ineq_summary.json"), "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        files.append("ineq_summary.json")
+        manifest["status"] = "success"
+    except KeyboardInterrupt:
+        manifest["status"] = "interrupted"
+        raise
+    except Exception as exc:
+        manifest.update(status="error", error=f"{type(exc).__name__}: {exc}")
+        raise
+    finally:
+        manifest.update(finished=_now(), files=files)
+        _write_manifest(cfg.out_dir, manifest)
     print(f"inequality lab finished: out={cfg.out_dir}")
     return 0
 

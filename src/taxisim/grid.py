@@ -72,8 +72,19 @@ class Grid:
             raise ValueError(f"shape needs at least 2 cells per axis, got {shape}")
         object.__setattr__(self, "shape", shape)
 
-    # Geometry is fixed by the fields, so it is computed on first use and
-    # kept; eq, hash and repr still see only `domain` and `shape`.
+    # Geometry and the hash are fixed by the fields, so each is computed on
+    # first use and kept; eq, hash, repr and pickles still see only `domain`
+    # and `shape`.
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Grid, (self.domain, self.shape)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.domain, self.shape))
+
     @cached_property
     def dim(self) -> int:
         return self.domain.dim

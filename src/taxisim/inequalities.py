@@ -68,16 +68,24 @@ def check_ineq_61(phi: ScalarField, psi: ScalarField, p: float,
                       ratio=ratio, params={"p": p}, field_seed=field_seed)
 
 
-def check_ineq_64(phi: ScalarField, psi: ScalarField, p: float, eta: float,
-                  field_seed: int | None = None) -> IneqReport:
+def check_ineq_64(phi: ScalarField, psi: ScalarField, p: float, eta,
+                  field_seed: int | None = None):
     """Young-type bound on int phi^(p+1) psi |grad psi|^2; the right side
     carries the eta-weighted phi-dissipation, two terms scaled by the quartic
     gradient quotient of psi, and a mass term.  Ratios are reported with the
-    inequality's unquantified constant set to 1."""
+    inequality's unquantified constant set to 1.
+
+    `eta` is a float, giving one IneqReport, or a sequence, giving one report
+    per eta in order.  The face pass and every eta-free integral are formed
+    once for the whole sequence, so each report equals, to the bit, that of
+    a call with its eta alone."""
     if p < 1.0:
         raise ValueError(f"exponent p must be >= 1, got {p}")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    single = np.ndim(eta) == 0
+    etas = (eta,) if single else tuple(eta)
+    for e in etas:
+        if not e > 0.0:
+            raise ValueError(f"eta must be positive, got {e}")
     _check_positive_pair(phi, psi)
     grid = phi.grid
     f, s = phi.values, psi.values
@@ -90,20 +98,27 @@ def check_ineq_64(phi: ScalarField, psi: ScalarField, p: float, eta: float,
          lambda gf, gs, m_fp1s, m_fm1s, ms, w: m_fm1s * gf * gf * w),
         grads=(f, s), means=(fp1s, f ** (p - 1.0) * s, s))
     int_fp1s = integrate_array(grid, fp1s)
-    terms = {
-        "eta_grad_phi": eta * grad_phi,
-        "mixed": (sup_psi + sup_psi ** 3 / eta) * int_fp1s * f4,
-        "mass_power": sup_psi ** 2
-        * integrate_array(grid, f) ** (2.0 * p + 1.0) * f4,
-        "base": sup_psi ** 2 * integrate_array(grid, f * s),
-    }
-    denom = sum(terms.values())
-    if lhs == 0.0:
-        ratio = 0.0
-    else:
-        ratio = lhs / denom if denom > 0.0 else math.inf
-    return IneqReport(lhs=lhs, rhs_terms=terms, ratio=ratio,
-                      params={"p": p, "eta": eta}, field_seed=field_seed)
+    mass_power = (sup_psi ** 2
+                  * integrate_array(grid, f) ** (2.0 * p + 1.0) * f4)
+    base = sup_psi ** 2 * integrate_array(grid, f * s)
+    reports = []
+    for e in etas:
+        # key order fixes the summation order of denom
+        terms = {
+            "eta_grad_phi": e * grad_phi,
+            "mixed": (sup_psi + sup_psi ** 3 / e) * int_fp1s * f4,
+            "mass_power": mass_power,
+            "base": base,
+        }
+        denom = sum(terms.values())
+        if lhs == 0.0:
+            ratio = 0.0
+        else:
+            ratio = lhs / denom if denom > 0.0 else math.inf
+        reports.append(IneqReport(lhs=lhs, rhs_terms=terms, ratio=ratio,
+                                  params={"p": p, "eta": e},
+                                  field_seed=field_seed))
+    return reports[0] if single else reports
 
 
 def fit_constant(family, check, **params) -> float:

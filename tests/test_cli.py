@@ -1,6 +1,12 @@
 import json
+import os
 
-from taxisim.cli import main
+import pytest
+
+from taxisim import cli
+from taxisim.cli import _floats, main
+from taxisim.config import load_config
+from taxisim.inequalities import check_ineq_61, check_ineq_64, cosine_family
 
 CONFIG = """
 grid.nx = 32
@@ -58,3 +64,143 @@ def test_seed_override(tmp_path):
     sa = (tmp_path / "a" / "series.csv").read_text()
     sb = (tmp_path / "b" / "series.csv").read_text()
     assert sa != sb
+
+
+CONFIG_2D = """
+domain.dim = 2
+grid.nx = 12
+grid.ny = 10
+model.l = 2
+model.epsilon = 0.01
+time.T = 1
+init.preset = constant
+seed = 5
+"""
+
+
+def write_config_2d(tmp_path):
+    path = tmp_path / "ineq2d.cfg"
+    path.write_text(CONFIG_2D)
+    return str(path)
+
+
+def reference_ineq(cfg_path, out_dir, count, ps, etas):
+    """The ineq lab as one (6.4) check per (pair, p, eta), kept as the
+    reference for the one-pass eta sweep."""
+    cfg = load_config(cfg_path)
+    grid = cfg.grid()
+    pairs = cosine_family(grid, count, cfg.seed)
+    os.makedirs(out_dir, exist_ok=True)
+    rows = []
+    fitted = {}
+    for p in ps:
+        best = 0.0
+        for i, (phi, psi) in enumerate(pairs):
+            rep = check_ineq_61(phi, psi, p, field_seed=i)
+            rows.append(("6.1", i, p, "", rep.lhs, rep.rhs_terms, rep.ratio))
+            best = max(best, rep.ratio)
+        fitted[f"c61_p{p:g}"] = best
+        for eta in etas:
+            best = 0.0
+            for i, (phi, psi) in enumerate(pairs):
+                rep = check_ineq_64(phi, psi, p, eta, field_seed=i)
+                rows.append(("6.4", i, p, eta, rep.lhs, rep.rhs_terms,
+                             rep.ratio))
+                best = max(best, rep.ratio)
+            fitted[f"c64_p{p:g}_eta{eta:g}"] = best
+    with open(os.path.join(out_dir, "ineq_reports.csv"), "w") as fh:
+        fh.write("ineq,field_seed,p,eta,lhs,rhs_total,ratio\n")
+        for ineq, i, p, eta, lhs, terms, ratio in rows:
+            total = (terms["bracket"] * terms["factor"] if ineq == "6.1"
+                     else sum(terms.values()))
+            fh.write(f"{ineq},{i},{p:g},{eta if eta == '' else '%g' % eta},"
+                     f"{lhs:.17g},{total:.17g},{ratio:.17g}\n")
+    summary = {"grid": list(grid.shape), "count": count,
+               "seed": cfg.seed, "fitted_constants": fitted}
+    with open(os.path.join(out_dir, "ineq_summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_manifest(out_dir):
+    """The manifest, after checking that it lists exactly the files on
+    disk."""
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert set(manifest["files"]) == set(os.listdir(out_dir))
+    return manifest
+
+
+class TestIneq:
+    @pytest.mark.parametrize("ps, etas", [
+        ("1,2", "0.1,1,10"),
+        ("2.5,1", "3,0.2,3"),
+    ])
+    def test_outputs_match_per_eta_loop(self, tmp_path, ps, etas):
+        cfg = write_config_2d(tmp_path)
+        ref, out = tmp_path / "ref", tmp_path / "out"
+        reference_ineq(cfg, str(ref), 6, _floats(ps), _floats(etas))
+        assert main(["ineq", cfg, "--out", str(out), "--count", "6",
+                     "--p", ps, "--eta", etas]) == 0
+        for name in ("ineq_reports.csv", "ineq_summary.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_manifest_on_success(self, tmp_path):
+        cfg = write_config_2d(tmp_path)
+        out = str(tmp_path / "out")
+        assert main(["ineq", cfg, "--out", out, "--count", "2",
+                     "--p", "1", "--eta", "1,2"]) == 0
+        manifest = read_manifest(out)
+        assert manifest["status"] == "success"
+        assert manifest["files"] == ["ineq_reports.csv", "ineq_summary.json",
+                                     "manifest.json"]
+        assert manifest["config"]["seed"] == 5
+        assert (manifest["count"], manifest["p"], manifest["eta"]) \
+            == (2, [1.0], [1.0, 2.0])
+        assert "finished" in manifest and "error" not in manifest
+
+    @pytest.mark.parametrize("exc_type, status", [
+        (RuntimeError, "error"),
+        (KeyboardInterrupt, "interrupted"),
+    ])
+    def test_crash_finalizes_manifest(self, tmp_path, monkeypatch, exc_type,
+                                      status):
+        real = cli.check_ineq_64
+        calls = []
+
+        def failing_check(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise exc_type("disk on fire")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_ineq_64", failing_check)
+        cfg = write_config_2d(tmp_path)
+        out = str(tmp_path / "out")
+        with pytest.raises(exc_type):
+            main(["ineq", cfg, "--out", out, "--count", "4"])
+        manifest = read_manifest(out)
+        assert manifest["status"] == status
+        assert "finished" in manifest
+        if exc_type is RuntimeError:
+            assert manifest["error"] == "RuntimeError: disk on fire"
+        else:
+            assert "error" not in manifest
+        assert manifest["files"] == ["manifest.json"]
+
+    @pytest.mark.parametrize("bad", [
+        ["--count", "0"],
+        ["--count", "-2"],
+        ["--p", "0.5"],
+        ["--p", "1,0.99"],
+        ["--eta", "0"],
+        ["--eta", "1,-0.5"],
+    ])
+    def test_impossible_arguments_rejected(self, tmp_path, capsys, bad):
+        cfg = write_config_2d(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["ineq", cfg, "--out", str(out)] + bad)
+        assert exc.value.code == 2
+        assert bad[0] in capsys.readouterr().err
+        assert not out.exists()

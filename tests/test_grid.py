@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -47,6 +48,27 @@ class TestDomainGrid:
         g = Grid(Domain((2.0, 1.0)), (8, 4))
         assert g.h == (0.25, 0.25)
         assert g.cell_volume == pytest.approx(0.0625)
+
+    def test_equal_grids_hash_equal(self):
+        a = Grid(Domain((2.0, 1.0)), (8, 4))
+        a.h  # fills the per-instance caches of one side only
+        b = Grid(Domain((2, 1)), [8, 4])
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((Domain((2.0, 1.0)), (8, 4)))
+        assert a != Grid(Domain((2.0, 1.5)), (8, 4))
+        assert a != Grid(Domain((2.0, 1.0)), (8, 5))
+        assert repr(a) == ("Grid(domain=Domain(lengths=(2.0, 1.0)), "
+                           "shape=(8, 4))")
+
+    def test_pickle_round_trip(self):
+        a = Grid(Domain((2.0, 1.0)), (8, 4))
+        fresh = pickle.dumps(a)
+        hash(a), a.h  # fill the per-instance caches
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and hash(b) == hash(a)
+        assert b.h == a.h
+        # the pickle carries the fields, not the per-instance caches
+        assert pickle.dumps(a) == fresh
 
 
 class TestIntegrate:

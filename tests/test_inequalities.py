@@ -6,12 +6,14 @@ import pytest
 from taxisim import (
     Domain,
     Grid,
+    IneqReport,
     PositivityViolation,
     ScalarField,
     check_ineq_61,
     check_ineq_64,
     cosine_family,
     fit_constant,
+    inequalities,
 )
 
 
@@ -128,6 +130,52 @@ class TestIneq64:
                 for eta in (0.1, 1.0, 10.0)]
         assert all(math.isfinite(c) and c > 0.0 for c in fits)
         assert max(fits) / min(fits) < 10.0
+
+
+def assert_same_report(a, b):
+    assert a.lhs == b.lhs
+    assert list(a.rhs_terms.items()) == list(b.rhs_terms.items())
+    assert a.ratio == b.ratio
+    assert a.params == b.params
+    assert a.field_seed == b.field_seed
+
+
+class TestIneq64EtaSequence:
+    ETAS = (0.1, 1.0, 10.0, 0.37, 1.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("grid", [grid1d(48),
+                                      Grid(Domain((1.0, 1.5)), (24, 20))],
+                             ids=["1d", "2d"])
+    def test_matches_scalar_calls(self, grid, p):
+        pairs = cosine_family(grid, 6, seed=19)
+        flat = (pairs[0][0], ScalarField.full(grid, 1.5))  # lhs == 0 branch
+        for i, (phi, psi) in enumerate(pairs + [flat]):
+            reports = check_ineq_64(phi, psi, p, self.ETAS, field_seed=i)
+            assert len(reports) == len(self.ETAS)
+            for eta, rep in zip(self.ETAS, reports):
+                assert_same_report(
+                    rep, check_ineq_64(phi, psi, p, eta, field_seed=i))
+        assert reports[0].lhs == 0.0 and reports[0].ratio == 0.0
+
+    def test_array_of_etas(self):
+        (phi, psi), = cosine_family(grid1d(32), 1, seed=3)
+        reports = check_ineq_64(phi, psi, 2.0, np.array([0.5, 2.0]))
+        assert [r.params["eta"] for r in reports] == [0.5, 2.0]
+        assert isinstance(check_ineq_64(phi, psi, 2.0, np.float64(0.5)),
+                          IneqReport)
+
+    @pytest.mark.parametrize("etas", [(1.0, 0.0), [2.0, -1.0, 3.0],
+                                      (1.0, math.nan)])
+    def test_bad_eta_raises_before_any_work(self, monkeypatch, etas):
+        def no_face_pass(*args, **kwargs):
+            raise AssertionError("face pass started")
+
+        monkeypatch.setattr(inequalities, "face_sums", no_face_pass)
+        g = grid1d(8)
+        phi = ScalarField.full(g, -1.0)  # would fail the positivity check
+        with pytest.raises(ValueError, match="eta must be positive"):
+            check_ineq_64(phi, ScalarField.full(g, 1.0), 1.0, etas)
 
 
 class TestFitConstant:
