@@ -30,12 +30,18 @@ def _ints(raw: str) -> list[int]:
 
 def _checked(parse, ok, need: str):
     """Argparse type: `parse` the argument and reject any value failing
-    `ok`, so an impossible argument fails before any output exists."""
+    `ok`, and any two different values of a list that share a `%g` label
+    (outputs name each value by it), so an impossible argument fails before
+    any output exists."""
     def convert(raw: str):
         value = parse(raw)
+        labels = {}
         for x in value if isinstance(value, list) else [value]:
             if not ok(x):
                 raise argparse.ArgumentTypeError(f"{x:g} is not {need}")
+            if labels.setdefault(f"{x:g}", x) != x:
+                raise argparse.ArgumentTypeError(
+                    f"{labels[f'{x:g}']!r} and {x!r} share the label {x:g}")
         return value
     convert.__name__ = parse.__name__  # argparse names it in parse errors
     return convert

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, face_sums, integrate, integrate_array, lp_norm
+from .grid import ScalarField, face_sums, integrate_array, work_arrays
 from .model import ModelParams, PositivityViolation, State
 
 __all__ = [
@@ -54,36 +54,82 @@ class FunctionalRecord:
     energy_G_defined: bool
 
 
-def _check_positive(f: ScalarField, name: str) -> None:
+# Whole exponents up to this are formed as products, within (n - 1)
+# roundings of the exact power: at most 7e-15 relative.
+_MAX_PRODUCT_POWER = 64
+
+
+def _check_positive(f: ScalarField, name: str) -> float:
+    """The minimum of `f`, which must be > 0."""
     m = float(f.values.min())
     if not m > 0.0:
         raise PositivityViolation(f"{name} must be strictly positive, min = {m!r}")
+    return m
 
 
-# Face integrands over grads=(u, v), means=(u, v).
-def _diss_u(gu, gv, mu, mv, w):
-    return (mv / mu) * gu * gu * w
+def _whole(n: float) -> bool:
+    return float(n).is_integer() and 1 <= n <= _MAX_PRODUCT_POWER
 
 
-def _diss_v(gu, gv, mu, mv, w):
-    return (mu / mv) * gv * gv * w
+def _power(x: np.ndarray, n: float, out: np.ndarray) -> np.ndarray:
+    """x ** n into `out`, which must not be `x`.  A whole n is formed by
+    left-to-right repeated squaring, at most 2 log2(n) products, each several
+    times cheaper than libm's `pow`; any other n keeps the `**` operator and
+    its scalar fast paths."""
+    if not _whole(n):
+        np.copyto(out, x)
+        out **= n
+        return out
+    src = x
+    for bit in bin(int(n))[3:]:
+        np.multiply(src, src, out=out)
+        if bit == "1":
+            out *= x
+        src = out
+    if src is x:
+        np.copyto(out, x)
+    return out
 
 
-def _grad_v_sq(gu, gv, mu, mv, w):
-    return gv * gv * w
+# Face integrands over grads=(u, v), means=(u, v), written in place with the
+# operation order of (mv / mu) * gu * gu * w and (mu / mv) * gv * gv * w.
+def _dissipation_faces(gu, gv, mu, mv, w, spare):
+    t = spare[0]
+    np.divide(mv, mu, out=t)
+    t *= gu
+    t *= gu
+    t *= w
+    yield t
+    np.divide(mu, mv, out=t)
+    t *= gv
+    t *= gv
+    t *= w
+    yield t
 
 
-def _grad_v_sq_over_v(gu, gv, mu, mv, w):
-    return gv * gv * w / mv
-
-
-def _quotient(q: float, alpha: float):
-    """Face integrand (gv, mv, w) of |grad v|^q / v^alpha, q > 2, 0 < alpha < q."""
+def _check_exponents(q: float, alpha: float) -> None:
     if not q > 2.0:
         raise ValueError(f"exponent q must exceed 2, got {q}")
     if not 0.0 < alpha < q:
         raise ValueError(f"weight alpha must lie in (0, q), got {alpha}")
-    return lambda gv, mv, w: np.abs(gv) ** q / mv ** alpha * w
+
+
+def _quotient_faces(gv, mv, w, g2, q_alpha, spare):
+    """Yield |gv|^q / mv^alpha * w for each (q, alpha) of `q_alpha`, from
+    g2 = gv * gv; mv^alpha is formed once per run of equal alpha."""
+    num, den, tmp = spare[:3]
+    alpha = None
+    for q, a in q_alpha:
+        if a != alpha:
+            _power(mv, a, den)
+            alpha = a
+        if _whole(q) and q % 2 == 0:
+            _power(g2, q / 2, num)
+        else:
+            _power(np.abs(gv, out=tmp), q, num)
+        num /= den
+        num *= w
+        yield num
 
 
 def dissipations(state: State) -> tuple[float, float]:
@@ -91,17 +137,22 @@ def dissipations(state: State) -> tuple[float, float]:
     _check_positive(state.u, "u")
     _check_positive(state.v, "v")
     u, v = state.u.values, state.v.values
-    diss_u, diss_v = face_sums(state.grid, (_diss_u, _diss_v),
+    diss_u, diss_v = face_sums(state.grid, _dissipation_faces,
                                grads=(u, v), means=(u, v))
     return diss_u, diss_v
 
 
 def weighted_gradient(state: State, q: float, alpha: float) -> float:
     """Face sum of |grad v|^q / v^alpha for q > 2, 0 < alpha < q."""
-    integrand = _quotient(q, alpha)
+    _check_exponents(q, alpha)
     _check_positive(state.v, "v")
     v = state.v.values
-    return face_sums(state.grid, (integrand,), grads=(v,), means=(v,))[0]
+
+    def faces(gv, mv, w, spare):
+        g2 = np.multiply(gv, gv, out=spare[0])
+        yield from _quotient_faces(gv, mv, w, g2, [(q, alpha)], spare[1:])
+
+    return face_sums(state.grid, faces, grads=(v,), means=(v,))[0]
 
 
 def energy_case(l: float) -> str:
@@ -124,71 +175,97 @@ def energy_G(state: State, params: ModelParams) -> float:
     alone and full_record flags the value as case-undefined.
     """
     _check_positive(state.u, "u")
-    return _energy_G(state.u, params, weighted_gradient(state, 4.0, 3.0))
+    f4 = weighted_gradient(state, 4.0, 3.0)
+    return _energy_G(state.grid, state.u.values, params, f4, None,
+                     work_arrays(state.grid).coef_d)
 
 
-def _energy_G(u: ScalarField, params: ModelParams, f4: float) -> float:
-    """energy_G from a positive u and the quartic quotient f4 of v."""
+def _energy_G(grid, u: np.ndarray, params: ModelParams, f4: float,
+              log_u, out: np.ndarray) -> float:
+    """energy_G from a positive u, the quartic quotient f4 of v and log u
+    (None: formed here when needed); `out` is a cell-field work array."""
     l, b = params.l, params.b
     case = energy_case(l)
     if case == "u_log_u":
-        ent = integrate_array(u.grid, u.values * np.log(u.values))
+        if log_u is None:
+            log_u = np.log(u, out=out)
+        ent = integrate_array(grid, np.multiply(u, log_u, out=out))
         return 4.0 * b * ent + f4
     if case == "neg_log_u":
-        ent = integrate_array(u.grid, np.log(u.values))
+        ent = integrate_array(grid, np.log(u, out=out))
         return -4.0 * b * ent + f4
     if case == "undefined":
         return f4
-    power = integrate_array(u.grid, u.values ** (3.0 - l))
+    power = integrate_array(grid, _power(u, 3.0 - l, out))
     if case == "neg_power":
         return -4.0 * b / ((3.0 - l) * (l - 2.0)) * power + f4
     return 4.0 * b / ((l - 3.0) * (l - 2.0)) * power + f4
 
 
-def _entropy(state: State, params: ModelParams) -> float:
-    """l-case entropy of u matching the initial-data assumptions:
-    integral of u^(2-l) away from l = 2, integral of ln u at l = 2."""
-    u = state.u
-    if abs(params.l - 2.0) < _L_EQ_TOL:
-        return integrate_array(u.grid, np.log(u.values))
-    return integrate_array(u.grid, u.values ** (2.0 - params.l))
-
-
 def full_record(state: State, params: ModelParams, p_list,
                 q_alpha=DEFAULT_Q_ALPHA) -> FunctionalRecord:
-    """Every diagnostic of `state`; the face functionals share one pass."""
+    """Every diagnostic of `state`.  The face functionals share one pass and
+    every temporary lives in the grid's work arrays, which the record
+    borrows from the step."""
     _check_positive(state.u, "u")
-    _check_positive(state.v, "v")
-    u, v = state.u, state.v
+    inf_v = _check_positive(state.v, "v")
+    grid = state.grid
+    u, v = state.u.values, state.v.values
     q_alpha = [(float(q), float(a)) for q, a in q_alpha]
-    quotients = {qa: _quotient(*qa) for qa in [(4.0, 3.0)] + q_alpha}
-    sums = face_sums(
-        state.grid,
-        [_diss_u, _diss_v, _grad_v_sq, _grad_v_sq_over_v]
-        + [lambda gu, gv, mu, mv, w, f=f: f(gv, mv, w)
-           for f in quotients.values()],
-        grads=(u.values, v.values), means=(u.values, v.values))
+    # the energy's quartic quotient too; sorted by alpha to share v^alpha
+    quotients = sorted(dict.fromkeys([(4.0, 3.0)] + q_alpha),
+                       key=lambda qa: qa[1])
+    for qa in quotients:
+        _check_exponents(*qa)
+
+    def faces(gu, gv, mu, mv, w, spare):
+        yield from _dissipation_faces(gu, gv, mu, mv, w, spare)
+        # gu and mu are free from here on
+        t = spare[0]
+        g2 = np.multiply(gv, gv, out=gu)
+        yield np.multiply(g2, w, out=t)  # grad_v_sq
+        t /= mv
+        yield t  # grad_v_sq_over_v
+        yield from _quotient_faces(gv, mv, w, g2, quotients, (t, mu) + spare[1:])
+
+    sums = face_sums(grid, faces, grads=(u, v), means=(u, v))
     diss_u, diss_v, grad_v_sq, grad_v_sq_over_v = sums[:4]
     quotient_sums = dict(zip(quotients, sums[4:]))
-    lp_u = {float(p): lp_norm(u, float(p)) for p in p_list}
-    lp_u[math.inf] = lp_norm(u, math.inf)
+
+    work = work_arrays(grid)
+    c = np.multiply(u, u, out=work.coef_d)
+    c *= v
+    weighted_L2 = integrate_array(grid, c)
+    sup_u = float(u.max())
+    lp_u = {}
+    for p in p_list:
+        p = float(p)  # u > 0, so |u| ** p is u ** p
+        lp_u[p] = float(np.sum(_power(u, p, c)) * grid.cell_volume) ** (1.0 / p)
+    lp_u[math.inf] = sup_u
+    log_u = None
+    # the entropy of u is int ln u at l = 2 and int u^(2-l) otherwise
+    if energy_case(params.l) == "u_log_u":
+        log_u = np.log(u, out=work.coef_t)
+        entropy = integrate_array(grid, log_u)
+    else:
+        entropy = integrate_array(grid, _power(u, 2.0 - params.l, c))
     return FunctionalRecord(
         t=state.t,
-        mass_u=integrate(u),
-        mass_v=integrate(v),
-        sup_u=float(u.values.max()),
-        sup_v=float(v.values.max()),
-        inf_v=float(v.values.min()),
+        mass_u=integrate_array(grid, u),
+        mass_v=integrate_array(grid, v),
+        sup_u=sup_u,
+        sup_v=float(v.max()),
+        inf_v=inf_v,
         cumulative_uv=state.cumulative_uv,
         diss_u=diss_u,
         diss_v=diss_v,
         grad_v_sq=grad_v_sq,
         grad_v_sq_over_v=grad_v_sq_over_v,
         weighted_q={qa: quotient_sums[qa] for qa in q_alpha},
-        weighted_L2=integrate_array(u.grid, u.values * u.values * v.values),
+        weighted_L2=weighted_L2,
         lp_u=lp_u,
-        entropy=_entropy(state, params),
-        energy_G=_energy_G(u, params, quotient_sums[(4.0, 3.0)]),
+        entropy=entropy,
+        energy_G=_energy_G(grid, u, params, quotient_sums[(4.0, 3.0)], log_u, c),
         energy_G_defined=energy_case(params.l) != "undefined",
     )
 

@@ -260,94 +260,106 @@ def _mms_config_run(config: RunConfig, n: int, source) -> State:
 
 def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> dict:
     """Manufactured-solution verification: spatial orders from a doubling
-    grid sequence, temporal orders from fixed-grid step-size halving."""
+    grid sequence, temporal orders from fixed-grid step-size halving.
+
+    The manifest is written with status "running" as soon as the output
+    directory exists, and finalized however the study ends, as in
+    `run_scenario`: "success", "error" (re-raised) or "interrupted"."""
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2 or any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be a doubling sequence of length >= 2")
     out_dir = out_dir or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    started = _now()
-
-    l = config.model.l
-    residual = mms.residual_check(l)
-    if residual > MMS_RESIDUAL_TOL:
-        raise RuntimeError(
-            f"manufactured source residual {residual:.3e} exceeds "
-            f"{MMS_RESIDUAL_TOL:g}; refusing to run the study")
-    fu, fv = mms.build_sources(l)
-
-    def source_for(grid: Grid):
-        xc = grid.centers(0)
-
-        def source(t, _grid):
-            return fu(xc, t), fv(xc, t)
-
-        return source
-
-    errors = []
-    for n in n_list:
-        grid = Grid(Domain((1.0,)), (n,))
-        final = _mms_config_run(config, n, source_for(grid))
-        xc = grid.centers(0)
-        eu = lp_norm(ScalarField(grid, final.u.values - mms.exact_u(xc, config.T)), 2.0)
-        ev = lp_norm(ScalarField(grid, final.v.values - mms.exact_v(xc, config.T)), 2.0)
-        errors.append((n, eu, ev))
-    spatial_orders = []
-    for (n0, eu0, ev0), (n1, eu1, ev1) in zip(errors, errors[1:]):
-        spatial_orders.append((n1, math.log2(eu0 / eu1), math.log2(ev0 / ev1)))
-
-    # Temporal self-convergence on a fixed coarse grid: field differences
-    # between runs at dt and dt/2 cancel the spatial error exactly.
-    n_t = n_list[0]
-    grid_t = Grid(Domain((1.0,)), (n_t,))
-    src_t = source_for(grid_t)
-    h = grid_t.h[0]
-    dt0 = config.safety * h * h / 80.0  # safely below the forced-run CFL bound
-    dts = [dt0, dt0 / 2.0, dt0 / 4.0]
-    finals = []
-    for dt in dts:
-        xc = grid_t.centers(0)
-        state = State(u=ScalarField(grid_t, mms.exact_u(xc, 0.0)),
-                      v=ScalarField(grid_t, mms.exact_v(xc, 0.0)))
-        finals.append(run_until(state, config.T, config.model,
-                                config.step_control(), source=src_t, dt_max=dt))
-    diffs = []
-    for a, b in zip(finals, finals[1:]):
-        d = np.sqrt(lp_norm(ScalarField(grid_t, a.u.values - b.u.values), 2.0) ** 2
-                    + lp_norm(ScalarField(grid_t, a.v.values - b.v.values), 2.0) ** 2)
-        diffs.append(float(d))
-    temporal_orders = [math.log2(diffs[i] / diffs[i + 1])
-                       for i in range(len(diffs) - 1)]
-
-    with open(os.path.join(out_dir, "refine.csv"), "w") as fh:
-        fh.write("n,err_u_l2,err_v_l2,order_u,order_v\n")
-        for i, (n, eu, ev) in enumerate(errors):
-            if i == 0:
-                fh.write(f"{n},{eu:.17g},{ev:.17g},,\n")
-            else:
-                _, ou, ov = spatial_orders[i - 1]
-                fh.write(f"{n},{eu:.17g},{ev:.17g},{ou:.17g},{ov:.17g}\n")
-    with open(os.path.join(out_dir, "temporal.csv"), "w") as fh:
-        fh.write("dt,diff_l2,order\n")
-        for i, dt in enumerate(dts[:-1]):
-            order = "" if i == 0 else "%.17g" % temporal_orders[i - 1]
-            fh.write(f"{dt:.17g},{diffs[i]:.17g},{order}\n")
-
     manifest = {
         "config": config_to_dict(config),
         "version": __version__,
-        "started": started,
-        "finished": _now(),
-        "status": "success",
-        "files": ["refine.csv", "temporal.csv"],
+        "started": _now(),
+        "status": "running",
         "children": [],
-        "residual": residual,
-        "spatial_orders": spatial_orders,
-        "temporal_orders": temporal_orders,
-        "errors": errors,
-        "temporal_diffs": diffs,
     }
     _write_manifest(out_dir, manifest)
+    files: list[str] = []
+    try:
+
+        l = config.model.l
+        residual = mms.residual_check(l)
+        if residual > MMS_RESIDUAL_TOL:
+            raise RuntimeError(
+                f"manufactured source residual {residual:.3e} exceeds "
+                f"{MMS_RESIDUAL_TOL:g}; refusing to run the study")
+        fu, fv = mms.build_sources(l)
+
+        def source_for(grid: Grid):
+            xc = grid.centers(0)
+
+            def source(t, _grid):
+                return fu(xc, t), fv(xc, t)
+
+            return source
+
+        errors = []
+        for n in n_list:
+            grid = Grid(Domain((1.0,)), (n,))
+            final = _mms_config_run(config, n, source_for(grid))
+            xc = grid.centers(0)
+            eu = lp_norm(ScalarField(grid, final.u.values - mms.exact_u(xc, config.T)), 2.0)
+            ev = lp_norm(ScalarField(grid, final.v.values - mms.exact_v(xc, config.T)), 2.0)
+            errors.append((n, eu, ev))
+        spatial_orders = []
+        for (n0, eu0, ev0), (n1, eu1, ev1) in zip(errors, errors[1:]):
+            spatial_orders.append((n1, math.log2(eu0 / eu1), math.log2(ev0 / ev1)))
+
+        # Temporal self-convergence on a fixed coarse grid: field differences
+        # between runs at dt and dt/2 cancel the spatial error exactly.
+        n_t = n_list[0]
+        grid_t = Grid(Domain((1.0,)), (n_t,))
+        src_t = source_for(grid_t)
+        h = grid_t.h[0]
+        dt0 = config.safety * h * h / 80.0  # safely below the forced-run CFL bound
+        dts = [dt0, dt0 / 2.0, dt0 / 4.0]
+        finals = []
+        for dt in dts:
+            xc = grid_t.centers(0)
+            state = State(u=ScalarField(grid_t, mms.exact_u(xc, 0.0)),
+                          v=ScalarField(grid_t, mms.exact_v(xc, 0.0)))
+            finals.append(run_until(state, config.T, config.model,
+                                    config.step_control(), source=src_t, dt_max=dt))
+        diffs = []
+        for a, b in zip(finals, finals[1:]):
+            d = np.sqrt(lp_norm(ScalarField(grid_t, a.u.values - b.u.values), 2.0) ** 2
+                        + lp_norm(ScalarField(grid_t, a.v.values - b.v.values), 2.0) ** 2)
+            diffs.append(float(d))
+        temporal_orders = [math.log2(diffs[i] / diffs[i + 1])
+                           for i in range(len(diffs) - 1)]
+
+        with open(os.path.join(out_dir, "refine.csv"), "w") as fh:
+            fh.write("n,err_u_l2,err_v_l2,order_u,order_v\n")
+            for i, (n, eu, ev) in enumerate(errors):
+                if i == 0:
+                    fh.write(f"{n},{eu:.17g},{ev:.17g},,\n")
+                else:
+                    _, ou, ov = spatial_orders[i - 1]
+                    fh.write(f"{n},{eu:.17g},{ev:.17g},{ou:.17g},{ov:.17g}\n")
+        files.append("refine.csv")
+        with open(os.path.join(out_dir, "temporal.csv"), "w") as fh:
+            fh.write("dt,diff_l2,order\n")
+            for i, dt in enumerate(dts[:-1]):
+                order = "" if i == 0 else "%.17g" % temporal_orders[i - 1]
+                fh.write(f"{dt:.17g},{diffs[i]:.17g},{order}\n")
+        files.append("temporal.csv")
+        manifest.update(status="success", residual=residual,
+                        spatial_orders=spatial_orders,
+                        temporal_orders=temporal_orders, errors=errors,
+                        temporal_diffs=diffs)
+    except KeyboardInterrupt:
+        manifest["status"] = "interrupted"
+        raise
+    except Exception as exc:
+        manifest.update(status="error", error=f"{type(exc).__name__}: {exc}")
+        raise
+    finally:
+        manifest.update(finished=_now(), files=files)
+        _write_manifest(out_dir, manifest)
     return manifest
 
 

@@ -7,9 +7,11 @@ vanish identically and the discrete divergence theorem holds exactly:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,6 +102,14 @@ class Grid:
     @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
+
+    @cached_property
+    def _face_weights(self) -> tuple[np.ndarray, ...]:
+        """Per axis, the read-only `face_quadrature` dual volumes."""
+        out = tuple(face_quadrature(self, axis) for axis in range(self.dim))
+        for w in out:
+            w.flags.writeable = False
+        return out
 
     def centers(self, axis: int) -> np.ndarray:
         n = self.shape[axis]
@@ -238,21 +248,65 @@ def face_quadrature(grid: Grid, axis: int) -> np.ndarray:
     return w.reshape(shape)
 
 
-def face_sums(grid: Grid, integrands, grads=(), means=()) -> list[float]:
+class WorkArrays(NamedTuple):
+    """Work arrays of one grid: seven rows of one cell field each,
+    overwritten by every step (`model.stability_dt`, `model.rhs_arrays`)
+    and every `face_sums` call on that grid."""
+
+    # rows 4-6 as cell fields: the step's two mobility coefficients and u*v
+    coef_d: np.ndarray
+    coef_t: np.ndarray
+    uv: np.ndarray
+    # per axis: (h, lo, hi, faces), with `faces` interior-face views of rows
+    # 0-3, the step's face buffers
+    axes: tuple
+    # per axis: interior-face views of all seven rows, for `face_sums`
+    faces: tuple
+
+
+@functools.lru_cache(maxsize=4)
+def work_arrays(grid: Grid) -> WorkArrays:
+    """The grid's work arrays, allocated on first use and then reused, so
+    neither a step nor a face pass allocates field-sized temporaries.  Calls
+    on one grid must not run concurrently in threads of one process."""
+    rows = np.empty((7, grid.num_cells))
+    faces = []
+    for axis in range(grid.dim):
+        s = tuple(n - (a == axis) for a, n in enumerate(grid.shape))
+        faces.append(tuple(r[:math.prod(s)].reshape(s) for r in rows))
+    axes = tuple((ha, *_axis_slices(grid.dim, axis), faces[axis][:4])
+                 for axis, ha in enumerate(grid.h))
+    return WorkArrays(*(r.reshape(grid.shape) for r in rows[4:]), axes,
+                      tuple(faces))
+
+
+def face_sums(grid: Grid, integrand, grads=(), means=()) -> list[float]:
     """Interior-face sums of several integrands in one pass over the axes.
 
-    Per axis, the face gradients of the arrays in `grads`, the arithmetic
-    face means of the arrays in `means` and the dual volumes `w` are formed
-    once; each integrand is called as ``f(*gradients, *means, w)`` and its
-    face array summed.  Per-axis sums accumulate in axis order.
+    Per axis, the face gradients of the arrays in `grads` and the arithmetic
+    face means of the arrays in `means` are formed once, in the grid's work
+    arrays, and ``integrand(*gradients, *means, w, spare)`` is called: `w`
+    holds the dual volumes and `spare` the remaining face buffers of the
+    work arrays.  The integrand yields face arrays; the k-th total sums the
+    k-th array it yields, and per-axis sums accumulate in axis order.  Each
+    array is summed as it is yielded, so the integrand may then overwrite
+    it, any spare buffer, and any face array it no longer needs.  The
+    operation order is that of `interior_face_gradient` and
+    `interior_face_mean`.
     """
-    totals = [0.0] * len(integrands)
-    for axis, h in enumerate(grid.h):
-        faces = [interior_face_gradient(a, axis, h) for a in grads]
-        faces += [interior_face_mean(a, axis) for a in means]
-        faces.append(face_quadrature(grid, axis))
-        for i, f in enumerate(integrands):
-            totals[i] += float(np.sum(f(*faces)))
+    n = len(grads) + len(means)
+    totals = []
+    work = work_arrays(grid)
+    for (h, lo, hi, _), faces, w in zip(work.axes, work.faces,
+                                        grid._face_weights):
+        for a, out in zip(grads, faces):
+            np.subtract(a[hi], a[lo], out=out)
+            out /= h
+        for a, out in zip(means, faces[len(grads):n]):
+            np.add(a[lo], a[hi], out=out)
+            out *= 0.5
+        sums = [float(np.sum(f)) for f in integrand(*faces[:n], w, faces[n:])]
+        totals = [t + s for t, s in zip(totals or [0.0] * len(sums), sums)]
     return totals
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import _dissipation_faces
 from .grid import Grid, ScalarField, face_sums, integrate_array
 from .model import PositivityViolation
 
@@ -54,11 +55,8 @@ def check_ineq_61(phi: ScalarField, psi: ScalarField, p: float,
     grid = phi.grid
     f, s = phi.values, psi.values
     lhs = integrate_array(grid, f ** (p + 1.0) * s)
-    diss_psi, diss_phi = face_sums(
-        grid,
-        (lambda gf, gs, mf, ms, w: (mf / ms) * gs * gs * w,
-         lambda gf, gs, mf, ms, w: (ms / mf) * gf * gf * w),
-        grads=(f, s), means=(f, s))
+    diss_phi, diss_psi = face_sums(grid, _dissipation_faces,
+                                   grads=(f, s), means=(f, s))
     bracket = diss_psi + diss_phi + integrate_array(grid, f * s)
     factor = integrate_array(grid, f ** p)
     denom = bracket * factor
@@ -91,12 +89,29 @@ def check_ineq_64(phi: ScalarField, psi: ScalarField, p: float, eta,
     f, s = phi.values, psi.values
     sup_psi = float(s.max())
     fp1s = f ** (p + 1.0) * s
-    lhs, f4, grad_phi = face_sums(
-        grid,
-        (lambda gf, gs, m_fp1s, m_fm1s, ms, w: m_fp1s * gs * gs * w,
-         lambda gf, gs, m_fp1s, m_fm1s, ms, w: gs ** 4 / ms ** 3 * w,
-         lambda gf, gs, m_fp1s, m_fm1s, ms, w: m_fm1s * gf * gf * w),
-        grads=(f, s), means=(fp1s, f ** (p - 1.0) * s, s))
+
+    # in place, with the operation order of m_fp1s * gs * gs * w,
+    # gs ** 4 / ms ** 3 * w and m_fm1s * gf * gf * w
+    def faces(gf, gs, m_fp1s, m_fm1s, ms, w, spare):
+        t, den = spare
+        np.multiply(m_fp1s, gs, out=t)
+        t *= gs
+        t *= w
+        yield t
+        np.copyto(t, gs)
+        t **= 4
+        np.copyto(den, ms)
+        den **= 3
+        t /= den
+        t *= w
+        yield t
+        np.multiply(m_fm1s, gf, out=t)
+        t *= gf
+        t *= w
+        yield t
+
+    lhs, f4, grad_phi = face_sums(grid, faces, grads=(f, s),
+                                  means=(fp1s, f ** (p - 1.0) * s, s))
     int_fp1s = integrate_array(grid, fp1s)
     mass_power = (sup_psi ** 2
                   * integrate_array(grid, f) ** (2.0 * p + 1.0) * f4)

@@ -9,14 +9,11 @@ discrete total mass of u + v exactly.
 """
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Grid, ScalarField, _axis_slices
+from .grid import Grid, ScalarField, WorkArrays, work_arrays
 
 __all__ = [
     "ModelParams",
@@ -90,35 +87,13 @@ def regularize_initial(u0: ScalarField, v0: ScalarField,
     return State(u=u, v=v0.copy(), t=0.0, cumulative_uv=0.0)
 
 
-class _Scratch(NamedTuple):
-    """Work arrays of one grid, overwritten by every `rhs_arrays` and
-    `stability_dt` call on that grid."""
-
-    coef_d: np.ndarray
-    coef_t: np.ndarray
-    uv: np.ndarray
-    # per axis: (h, lo, hi, faces), with `faces` four interior-face views of
-    # buffers that every axis shares
-    axes: tuple
-
-
-@functools.lru_cache(maxsize=4)
-def _scratch(grid: Grid) -> _Scratch:
-    """The grid's work arrays, allocated on first use and then reused, so a
-    step allocates only the arrays it returns.  Calls on one grid must not
-    run concurrently in threads of one process."""
-    face_shapes = [tuple(n - (a == axis) for a, n in enumerate(grid.shape))
-                   for axis in range(grid.dim)]
-    flat = np.empty((4, max(map(math.prod, face_shapes))))
-    axes = tuple((ha, *_axis_slices(grid.dim, axis),
-                  tuple(b[:math.prod(s)].reshape(s) for b in flat))
-                 for axis, (ha, s) in enumerate(zip(grid.h, face_shapes)))
-    return _Scratch(np.empty(grid.shape), np.empty(grid.shape),
-                    np.empty(grid.shape), axes)
+# The grid's work arrays, shared with `grid.face_sums`; one lru_cache, so
+# clearing it here clears it there.
+_scratch = work_arrays
 
 
 def _coefficients(u: np.ndarray, v: np.ndarray, params: ModelParams,
-                  work: _Scratch):
+                  work: WorkArrays):
     """Cellwise diffusion coefficient u^(l-1) v and taxis coefficient u^l v,
     built from a single power evaluation into the work arrays."""
     l = params.l

@@ -204,3 +204,19 @@ class TestIneq:
         assert exc.value.code == 2
         assert bad[0] in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        ["--eta", "0.1,0.1000001"],
+        ["--eta", "1,2,1.0000001"],
+        ["--p", "1,1.0000001"],
+    ])
+    def test_colliding_labels_rejected(self, tmp_path, capsys, bad):
+        # rows and fitted constants are named by the %g label, so two values
+        # sharing one would overwrite a constant
+        cfg = write_config_2d(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["ineq", cfg, "--out", str(out)] + bad)
+        assert exc.value.code == 2
+        assert "share the label" in capsys.readouterr().err
+        assert not out.exists()

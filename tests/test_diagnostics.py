@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +15,25 @@ from taxisim import (
     dissipations,
     energy_G,
     full_record,
+    integrate,
+    lp_norm,
     run_until,
+    step,
     weighted_gradient,
 )
 from taxisim.diagnostics import (
+    FunctionalRecord,
+    _fmt_param,
+    _power,
     energy_case,
     record_columns,
     record_row,
     write_series,
+)
+from taxisim.grid import (
+    face_quadrature,
+    interior_face_gradient,
+    interior_face_mean,
 )
 
 
@@ -250,3 +262,165 @@ class TestSerialization:
         assert len(lines) == 3
         assert lines[0].split(",") == record_columns(self.P_LIST)
         assert lines[1] == lines[2]
+
+
+# Reference: the record path as it was before the face pass moved into the
+# grid's work arrays, with a fresh array per integrand and `**` for every
+# power.
+def _ref_face_sums(grid, integrands, grads=(), means=()):
+    totals = [0.0] * len(integrands)
+    for axis, h in enumerate(grid.h):
+        faces = [interior_face_gradient(a, axis, h) for a in grads]
+        faces += [interior_face_mean(a, axis) for a in means]
+        faces.append(face_quadrature(grid, axis))
+        for i, f in enumerate(integrands):
+            totals[i] += float(np.sum(f(*faces)))
+    return totals
+
+
+def _ref_energy_G(u, params, f4):
+    l, b = params.l, params.b
+    case = energy_case(l)
+    if case == "u_log_u":
+        ent = integrate(ScalarField(u.grid, u.values * np.log(u.values)))
+        return 4.0 * b * ent + f4
+    if case == "neg_log_u":
+        return -4.0 * b * integrate(ScalarField(u.grid, np.log(u.values))) + f4
+    if case == "undefined":
+        return f4
+    power = integrate(ScalarField(u.grid, u.values ** (3.0 - l)))
+    if case == "neg_power":
+        return -4.0 * b / ((3.0 - l) * (l - 2.0)) * power + f4
+    return 4.0 * b / ((l - 3.0) * (l - 2.0)) * power + f4
+
+
+def reference_record(state, params, p_list, q_alpha):
+    u, v = state.u, state.v
+    q_alpha = [(float(q), float(a)) for q, a in q_alpha]
+    keys = list(dict.fromkeys([(4.0, 3.0)] + q_alpha))
+    integrands = [
+        lambda gu, gv, mu, mv, w: (mv / mu) * gu * gu * w,
+        lambda gu, gv, mu, mv, w: (mu / mv) * gv * gv * w,
+        lambda gu, gv, mu, mv, w: gv * gv * w,
+        lambda gu, gv, mu, mv, w: gv * gv * w / mv,
+    ] + [lambda gu, gv, mu, mv, w, q=q, a=a: np.abs(gv) ** q / mv ** a * w
+         for q, a in keys]
+    sums = _ref_face_sums(state.grid, integrands, grads=(u.values, v.values),
+                          means=(u.values, v.values))
+    quotients = dict(zip(keys, sums[4:]))
+    lp_u = {float(p): lp_norm(u, float(p)) for p in p_list}
+    lp_u[math.inf] = lp_norm(u, math.inf)
+    if abs(params.l - 2.0) < 1e-12:
+        entropy = integrate(ScalarField(u.grid, np.log(u.values)))
+    else:
+        entropy = integrate(ScalarField(u.grid, u.values ** (2.0 - params.l)))
+    return FunctionalRecord(
+        t=state.t, mass_u=integrate(u), mass_v=integrate(v),
+        sup_u=float(u.values.max()), sup_v=float(v.values.max()),
+        inf_v=float(v.values.min()), cumulative_uv=state.cumulative_uv,
+        diss_u=sums[0], diss_v=sums[1], grad_v_sq=sums[2],
+        grad_v_sq_over_v=sums[3],
+        weighted_q={qa: quotients[qa] for qa in q_alpha},
+        weighted_L2=integrate(ScalarField(
+            u.grid, u.values * u.values * v.values)),
+        lp_u=lp_u, entropy=entropy,
+        energy_G=_ref_energy_G(u, params, quotients[(4.0, 3.0)]),
+        energy_G_defined=energy_case(params.l) != "undefined")
+
+
+def _is_whole(x):
+    return float(x).is_integer()
+
+
+class TestRecordMatchesReference:
+    """Whole-number powers are products now, within a few roundings of
+    libm's `pow`; every other column keeps its bits.  energy_G carries the
+    quartic quotient, so it must equal the reference formula applied to the
+    record's own quotient."""
+
+    GRIDS = [Grid(Domain((1.0,)), (48,)),
+             Grid(Domain((2.0, 2.0)), (16, 16)),
+             Grid(Domain((1.0, 3.0)), (12, 9))]
+
+    def _state(self, grid, seed):
+        rng = np.random.default_rng(seed)
+        return State(u=ScalarField(grid, rng.uniform(0.2, 3.0, grid.shape)),
+                     v=ScalarField(grid, rng.uniform(0.2, 3.0, grid.shape)),
+                     t=0.25, cumulative_uv=0.125)
+
+    def _compare(self, grid, l, p_list, q_alpha):
+        params = ModelParams(l=l, epsilon=0.01)
+        for seed in range(3):
+            st = self._state(grid, seed)
+            rec = full_record(st, params, p_list, q_alpha)
+            ref = reference_record(st, params, p_list, q_alpha)
+            close = {f"wq_{_fmt_param(q)}_{_fmt_param(a)}"
+                     for q, a in q_alpha if _is_whole(q) or _is_whole(a)}
+            # the products for p = 1 and 2 are u and u*u, exact as `**`
+            close |= {f"lp_u_{_fmt_param(p)}" for p in p_list
+                      if _is_whole(p) and p not in (1.0, 2.0)}
+            cols = record_columns(p_list, q_alpha)
+            got = dict(zip(cols, record_row(rec, p_list, q_alpha)))
+            want = dict(zip(cols, record_row(ref, p_list, q_alpha)))
+            for col in cols:
+                if col == "energy_G":
+                    continue
+                if col in close:
+                    assert float(got[col]) == pytest.approx(
+                        float(want[col]), rel=1e-15, abs=0.0), col
+                else:
+                    assert got[col] == want[col], col
+            f4 = weighted_gradient(st, 4.0, 3.0)
+            assert rec.energy_G == _ref_energy_G(st.u, params, f4)
+            ref_f4 = reference_record(st, params, (), ((4.0, 3.0),))
+            assert f4 == pytest.approx(ref_f4.weighted_q[(4.0, 3.0)],
+                                       rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "2d-nonsquare"])
+    @pytest.mark.parametrize("l", [1.0, 2.0, 2.5, 3.0])
+    def test_whole_exponents(self, grid, l):
+        self._compare(grid, l, (1.0, 2.0, 4.0),
+                      ((4.0, 3.0), (6.0, 5.0), (3.0, 1.0), (5.0, 3.0),
+                       (8.0, 2.0)))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "2d-nonsquare"])
+    @pytest.mark.parametrize("l", [1.0, 2.0, 2.5, 3.0])
+    def test_non_integer_exponents_bitwise(self, grid, l):
+        # no column may differ: close is empty
+        self._compare(grid, l, (2.5,), ((3.5, 1.5),))
+
+
+class TestPower:
+    @pytest.mark.parametrize("n", list(range(1, 18)) + [31, 64])
+    def test_whole_within_n_roundings(self, n):
+        x = np.random.default_rng(n).uniform(0.5, 2.0, 1000)
+        got = _power(x, float(n), np.empty_like(x))
+        np.testing.assert_allclose(got, x ** float(n),
+                                   rtol=max(n - 1, 1) * 2.0 ** -52, atol=0.0)
+
+    @pytest.mark.parametrize("n", [0.5, 2.5, -1.0, -0.5, 65.0, 1e3])
+    def test_other_exponents_keep_pow(self, n):
+        x = np.random.default_rng(1).uniform(0.5, 1.5, 1000)
+        assert np.array_equal(_power(x, n, np.empty_like(x)), x ** n)
+
+
+class TestRecordAllocation:
+    def test_record_allocates_at_most_three_fields(self):
+        # every temporary lives in the grid's work arrays; numpy's own
+        # transient copy of the axis-1 slices of a difference accounts for
+        # the two fields that remain
+        g = Grid(Domain((2.0, 2.0)), (64, 64))
+        rng = np.random.default_rng(5)
+        st = State(u=ScalarField(g, rng.uniform(0.2, 2.0, g.shape)),
+                   v=ScalarField(g, rng.uniform(0.2, 2.0, g.shape)))
+        st = step(st, PARAMS, StepControl())
+        full_record(st, PARAMS, (2.0, 4.0))  # warm
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            full_record(st, PARAMS, (2.0, 4.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (8 * g.num_cells) <= 3.0

@@ -285,6 +285,30 @@ init.preset = constant
         with pytest.raises(ValueError):
             refinement_study(cfg, [16, 24], str(tmp_path))
 
+    @pytest.mark.parametrize("residual, exc_type, status", [
+        (1e-6, RuntimeError, "error"),
+        (KeyboardInterrupt, KeyboardInterrupt, "interrupted"),
+    ])
+    def test_failure_finalizes_manifest(self, tmp_path, monkeypatch, residual,
+                                        exc_type, status):
+        def residual_check(l):
+            if residual is KeyboardInterrupt:
+                raise KeyboardInterrupt
+            return residual
+
+        monkeypatch.setattr(experiments.mms, "residual_check", residual_check)
+        with pytest.raises(exc_type):
+            refinement_study(small_config(), [16, 32], str(tmp_path))
+        manifest = check_manifest(str(tmp_path))
+        assert manifest["status"] == status
+        assert manifest["files"] == ["manifest.json"]
+        assert "finished" in manifest and "started" in manifest
+        if exc_type is RuntimeError:
+            assert manifest["error"].startswith(
+                "RuntimeError: manufactured source residual 1.000e-06")
+        else:
+            assert "error" not in manifest
+
 
 class TestLSweep:
     def test_single_l(self, tmp_path):

@@ -13,6 +13,7 @@ from taxisim import (
     State,
     StepControl,
     StepFailure,
+    full_record,
     integrate,
     lp_norm,
     run_until,
@@ -266,6 +267,23 @@ class TestWorkArrays:
                 assert np.array_equal(states[i].v.values, ref[k].v.values)
                 assert states[i].t == ref[k].t
                 assert states[i].cumulative_uv == ref[k].cumulative_uv
+
+    @pytest.mark.parametrize("shape", [(40,), (9, 7)])
+    def test_record_between_steps_changes_nothing(self, shape):
+        # the record borrows the step's work arrays; neither may see the
+        # other's leftovers
+        g = Grid(Domain((1.0,) * len(shape)), shape)
+        ctrl = StepControl()
+        first = step(random_state(g, 3), PARAMS, ctrl)
+        model._scratch.cache_clear()
+        fresh = full_record(first, PARAMS, (2.0, 4.0))
+        plain = step(first, PARAMS, ctrl)
+        rec = full_record(first, PARAMS, (2.0, 4.0))
+        after = step(first, PARAMS, ctrl)
+        assert rec == fresh
+        assert np.array_equal(after.u.values, plain.u.values)
+        assert np.array_equal(after.v.values, plain.v.values)
+        assert (after.t, after.cumulative_uv) == (plain.t, plain.cumulative_uv)
 
     def test_step_allocates_at_most_five_fields(self):
         # du, dv, un and vn are new; everything else lives in the work arrays
