@@ -22,7 +22,6 @@ from .model import (  # noqa: F401
     PositivityViolation,
     State,
     regularize_initial,
-    rhs,
     stability_dt,
 )
 from .stepper import StepControl, StepFailure, run_until, step  # noqa: F401

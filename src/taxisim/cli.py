@@ -7,13 +7,11 @@ import json
 import os
 import sys
 
-from . import __version__
-from .config import config_to_dict, load_config
+from .config import load_config
 from .experiments import (
-    _now,
-    _write_manifest,
     epsilon_continuation,
     l_sweep,
+    recorded,
     refinement_study,
     run_scenario,
 )
@@ -28,20 +26,23 @@ def _ints(raw: str) -> list[int]:
     return [int(x) for x in raw.split(",") if x.strip()]
 
 
-def _checked(parse, ok, need: str):
+def _checked(parse, ok, need: str, distinct: bool = False):
     """Argparse type: `parse` the argument and reject any value failing
     `ok`, and any two different values of a list that share a `%g` label
-    (outputs name each value by it), so an impossible argument fails before
-    any output exists."""
+    (outputs name each value by it; with `distinct`, equal values too, as
+    each names its own child directory), so an impossible argument fails
+    before any output exists."""
     def convert(raw: str):
         value = parse(raw)
         labels = {}
         for x in value if isinstance(value, list) else [value]:
             if not ok(x):
                 raise argparse.ArgumentTypeError(f"{x:g} is not {need}")
-            if labels.setdefault(f"{x:g}", x) != x:
+            label = f"{x:g}"
+            if label in labels and (distinct or labels[label] != x):
                 raise argparse.ArgumentTypeError(
-                    f"{labels[f'{x:g}']!r} and {x!r} share the label {x:g}")
+                    f"{labels[label]!r} and {x!r} share the label {label}")
+            labels[label] = x
         return value
     convert.__name__ = parse.__name__  # argparse names it in parse errors
     return convert
@@ -68,15 +69,18 @@ def main(argv=None) -> int:
         description="Numerical laboratory for the regularized degenerate "
                     "nutrient-taxis system")
     sub = ap.add_subparsers(dest="command", required=True)
+    positive_int = _checked(int, lambda n: n >= 1, ">= 1")
 
     p = sub.add_parser("run", help="single simulation")
     _add_common(p)
 
     p = sub.add_parser("continuation", help="decreasing-epsilon study")
     _add_common(p)
-    p.add_argument("--eps", required=True, type=_floats,
+    p.add_argument("--eps", required=True,
+                   type=_checked(_floats, lambda e: 0.0 < e < 1.0, "in (0, 1)",
+                                 distinct=True),
                    help="strictly decreasing comma list, e.g. 0.1,0.05,0.025")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
 
     p = sub.add_parser("refine", help="manufactured-solution order study")
     _add_common(p)
@@ -85,14 +89,16 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="diffusion-exponent sweep")
     _add_common(p)
-    p.add_argument("--l", required=True, type=_floats,
-                   help="comma list of exponents, e.g. 1.5,2,2.5,3")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--l", required=True,
+                   type=_checked(_floats, lambda l: l >= 1.0, ">= 1",
+                                 distinct=True),
+                   help="comma list of exponents, each >= 1, e.g. 1.5,2,2.5,3")
+    p.add_argument("--jobs", type=positive_int, default=1)
 
     p = sub.add_parser("ineq", help="functional-inequality stress test")
     _add_common(p)
-    p.add_argument("--count", type=_checked(int, lambda n: n >= 1, ">= 1"),
-                   default=100, help="field pairs, at least 1")
+    p.add_argument("--count", type=positive_int, default=100,
+                   help="field pairs, at least 1")
     p.add_argument("--p", type=_checked(_floats, lambda x: x >= 1.0, ">= 1"),
                    default=[1.0, 2.0],
                    help="comma list of exponents, each >= 1")
@@ -130,15 +136,10 @@ def main(argv=None) -> int:
 
 def _run_ineq(cfg, args) -> int:
     """Fit the constants of (6.1) and (6.4) over a seeded field family and
-    write ineq_reports.csv, ineq_summary.json and a manifest, finalized
-    however the run ends, as in `run_scenario`."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    manifest = {"config": config_to_dict(cfg), "version": __version__,
-                "started": _now(), "status": "running", "count": args.count,
-                "p": args.p, "eta": args.eta}
-    _write_manifest(cfg.out_dir, manifest)
-    files: list[str] = []
-    try:
+    write ineq_reports.csv, ineq_summary.json and a manifest that
+    `recorded` finalizes, as in `run_scenario`."""
+    with recorded(cfg.out_dir, cfg, count=args.count, p=args.p,
+                  eta=args.eta) as (_, files):
         grid = cfg.grid()
         pairs = cosine_family(grid, args.count, cfg.seed)
         rows = []
@@ -177,16 +178,6 @@ def _run_ineq(cfg, args) -> int:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
         files.append("ineq_summary.json")
-        manifest["status"] = "success"
-    except KeyboardInterrupt:
-        manifest["status"] = "interrupted"
-        raise
-    except Exception as exc:
-        manifest.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        raise
-    finally:
-        manifest.update(finished=_now(), files=files)
-        _write_manifest(cfg.out_dir, manifest)
     print(f"inequality lab finished: out={cfg.out_dir}")
     return 0
 

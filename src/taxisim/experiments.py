@@ -2,6 +2,7 @@
 grid-refinement verification, and l sweeps, with CSV/manifest persistence."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime as _dt
 import json
@@ -22,6 +23,7 @@ from . import mms
 
 __all__ = [
     "RunResult",
+    "recorded",
     "run_scenario",
     "epsilon_continuation",
     "refinement_study",
@@ -63,13 +65,45 @@ def _now() -> str:
     return _dt.datetime.now().isoformat(timespec="seconds")
 
 
-def _write_manifest(out_dir, manifest: dict) -> None:
-    manifest.setdefault("files", [])
-    if "manifest.json" not in manifest["files"]:
-        manifest["files"].append("manifest.json")
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+@contextlib.contextmanager
+def recorded(out_dir, config: RunConfig, **fields):
+    """Make `out_dir` and yield its manifest and the list of files written.
+
+    The manifest (config echo, version, start time and `fields`) is written
+    with status "running" on entry and finalized however the block ends:
+    "success" unless the block set another status, "error" (any exception,
+    recorded as "Type: message" and re-raised) or "interrupted"
+    (KeyboardInterrupt, re-raised).  Its `files` are what the block put in
+    the yielded list, then "manifest.json"."""
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = {"config": config_to_dict(config), "version": __version__,
+                "started": _now(), "status": "running", **fields}
+    files: list[str] = []
+
+    def write() -> None:
+        manifest["files"] = files + ["manifest.json"]
+        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    write()
+    try:
+        yield manifest, files
+        if manifest["status"] == "running":
+            manifest["status"] = "success"
+    except KeyboardInterrupt:
+        manifest["status"] = "interrupted"
+        raise
+    except Exception as exc:
+        manifest.update(status="error", error=_describe(exc))
+        raise
+    finally:
+        manifest["finished"] = _now()
+        write()
 
 
 def _tlabel(t: float) -> str:
@@ -78,25 +112,9 @@ def _tlabel(t: float) -> str:
 
 def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
     """Run one simulation, sampling a FunctionalRecord every sample interval
-    and writing series.csv, snapshots, optional PGM rasters, and a manifest.
-
-    The manifest is written with status "running" as soon as the output
-    directory exists, and finalized however the run ends: "success",
-    "step_failure", "error" (any other exception, re-raised) or
-    "interrupted" (KeyboardInterrupt, re-raised)."""
+    and writing series.csv, snapshots, optional PGM rasters, and a manifest
+    `recorded` finalizes; a StepFailure ends the run as "step_failure"."""
     out_dir = out_dir or config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "config": config_to_dict(config),
-        "version": __version__,
-        "started": _now(),
-        "status": "running",
-        "children": [],
-    }
-    _write_manifest(out_dir, manifest)
-    files: list[str] = []
-    images: dict = {}
-
     n_samples = int(math.floor(config.T / config.sample_interval + 1e-9))
     sample_times = [k * config.sample_interval for k in range(n_samples + 1)]
     snapshot_times = sorted(set(float(t) for t in config.snapshot_times))
@@ -107,18 +125,20 @@ def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
         return (k <= n_samples
                 and abs(t - k * config.sample_interval) <= 1e-9 * max(1.0, t))
 
-    def emit_snapshot(s: State) -> None:
-        for name, f in (("u", s.u), ("v", s.v)):
-            fname = f"{name}_{_tlabel(s.t)}.field"
-            write_field(os.path.join(out_dir, fname), f)
-            files.append(fname)
-            if config.images:
-                pname = f"{name}_{_tlabel(s.t)}.pgm"
-                lo, hi = write_pgm(os.path.join(out_dir, pname), f)
-                images[pname] = {"min": lo, "max": hi}
-                files.append(pname)
+    with recorded(out_dir, config, children=[]) as (manifest, files):
 
-    try:
+        def emit_snapshot(s: State) -> None:
+            for name, f in (("u", s.u), ("v", s.v)):
+                fname = f"{name}_{_tlabel(s.t)}.field"
+                write_field(os.path.join(out_dir, fname), f)
+                files.append(fname)
+                if config.images:
+                    pname = f"{name}_{_tlabel(s.t)}.pgm"
+                    lo, hi = write_pgm(os.path.join(out_dir, pname), f)
+                    manifest.setdefault("images", {})[pname] = {"min": lo,
+                                                                "max": hi}
+                    files.append(pname)
+
         grid = config.grid()
         u0, v0 = make_initial(config.preset, grid, config.preset_params,
                               seed=config.seed)
@@ -145,7 +165,6 @@ def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
                 if any(abs(state.t - ts) <= 1e-9 * max(1.0, ts)
                        for ts in snap_set):
                     emit_snapshot(state)
-            manifest["status"] = "success"
         except StepFailure as exc:
             manifest.update(status="step_failure", error=str(exc))
             state = exc.state
@@ -153,33 +172,53 @@ def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
         write_series(os.path.join(out_dir, "series.csv"), records,
                      config.p_list, config.q_alpha)
         files.insert(0, "series.csv")
-    except KeyboardInterrupt:
-        manifest["status"] = "interrupted"
-        raise
-    except Exception as exc:
-        manifest.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        raise
-    finally:
-        manifest.update(finished=_now(), files=files)
-        if images:
-            manifest["images"] = images
-        _write_manifest(out_dir, manifest)
     return RunResult(manifest=manifest, final_state=state, records=records)
 
 
+def _children(prefix: str, values, make) -> dict:
+    """{"<prefix>_<value:g>": make(value)}: one subdirectory per child.  Two
+    values sharing a label would share a directory, so that is a ValueError
+    (raised before the study makes any output)."""
+    children = {}
+    for x in values:
+        sub = f"{prefix}_{x:g}"
+        if sub in children:
+            raise ValueError(f"two {prefix} values share the subdirectory "
+                             f"{sub}: {values}")
+        children[sub] = make(x)
+    return children
+
+
 def _run_child(args) -> RunResult:
+    """One study child.  An exception it raises is its outcome, an "error"
+    result without records, so its siblings still run."""
     config, out_dir = args
-    return run_scenario(config, out_dir)
+    try:
+        return run_scenario(config, out_dir)
+    except Exception as exc:
+        return RunResult({"status": "error", "error": _describe(exc)}, None, [])
 
 
-def _map_runs(tasks, jobs: int):
+def _run_children(manifest: dict, out_dir, children: dict, jobs: int) -> dict:
+    """Run a study's {subdirectory: config} children under `out_dir` and
+    return their results by subdirectory.  If any child did not succeed, the
+    study's manifest becomes "child_failure" with its "failed_children"."""
+    tasks = [(child, os.path.join(out_dir, sub))
+             for sub, child in children.items()]
     if jobs <= 1:
-        return [_run_child(task) for task in tasks]
-    # imported here: it pulls in multiprocessing, which serial runs never use
-    from concurrent.futures import ProcessPoolExecutor
+        outcomes = [_run_child(task) for task in tasks]
+    else:
+        # imported here: it pulls in multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_child, tasks))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_run_child, tasks))
+    results = dict(zip(children, outcomes))
+    failed = [sub for sub, res in results.items()
+              if res.manifest["status"] != "success"]
+    if failed:
+        manifest.update(status="child_failure", failed_children=failed)
+    return results
 
 
 def _sup_record(records, getter) -> float:
@@ -189,7 +228,9 @@ def _sup_record(records, getter) -> float:
 def epsilon_continuation(config: RunConfig, eps_list, out_dir: str | None = None,
                          jobs: int = 1) -> dict:
     """Rerun one scenario along a strictly decreasing epsilon sequence and
-    tabulate successive L1 differences of the final fields."""
+    tabulate successive L1 differences of the final fields.  If a child
+    does not succeed, the study's manifest ends as "child_failure" and
+    StepFailure is raised for the first such child."""
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2:
         raise ValueError("epsilon continuation needs at least two values")
@@ -198,53 +239,35 @@ def epsilon_continuation(config: RunConfig, eps_list, out_dir: str | None = None
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
     out_dir = out_dir or config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    snapshot_times = tuple(sorted(set(config.snapshot_times) | {config.T}))
+    children = _children("eps", eps_list, lambda eps: dataclasses.replace(
+        config, model=dataclasses.replace(config.model, epsilon=eps),
+        snapshot_times=snapshot_times))
+    with recorded(out_dir, config, children=list(children),
+                  eps_list=eps_list) as (manifest, files):
+        results = _run_children(manifest, out_dir, children, jobs)
+        failed = manifest.get("failed_children")
+        if not failed:
+            runs = list(results.values())
+            sup_f4 = [_sup_record(res.records,
+                                  lambda r: r.weighted_q[(4.0, 3.0)])
+                      for res in runs]
+            rows = []
+            for i in range(len(eps_list) - 1):
+                a, b = runs[i].final_state, runs[i + 1].final_state
+                du = lp_norm(ScalarField(a.grid, a.u.values - b.u.values), 1.0)
+                dv = lp_norm(ScalarField(a.grid, a.v.values - b.v.values), 1.0)
+                rows.append((eps_list[i], eps_list[i + 1], du, dv,
+                             sup_f4[i], sup_f4[i + 1]))
 
-    tasks = []
-    children = []
-    for eps in eps_list:
-        child = dataclasses.replace(
-            config,
-            model=dataclasses.replace(config.model, epsilon=eps),
-            snapshot_times=tuple(sorted(set(config.snapshot_times) | {config.T})))
-        sub = f"eps_{eps:g}"
-        tasks.append((child, os.path.join(out_dir, sub)))
-        children.append(sub)
-    results = _map_runs(tasks, jobs)
-    manifest = {
-        "config": config_to_dict(config),
-        "version": __version__,
-        "started": results[0].manifest["started"],
-        "children": children,
-        "eps_list": eps_list,
-    }
-    failed = [(sub, res) for sub, res in zip(children, results)
-              if res.manifest["status"] != "success"]
+            with open(os.path.join(out_dir, "continuation.csv"), "w") as fh:
+                fh.write("eps,eps_next,du_l1,dv_l1,sup_f4,sup_f4_next\n")
+                for row in rows:
+                    fh.write(",".join("%.17g" % x for x in row) + "\n")
+            files.append("continuation.csv")
     if failed:
-        manifest.update(finished=_now(), status="child_failure", files=[],
-                        failed_children=[sub for sub, _ in failed])
-        _write_manifest(out_dir, manifest)
-        sub, res = failed[0]
-        raise StepFailure(f"child run {sub} failed", res.final_state)
-
-    sup_f4 = [_sup_record(res.records, lambda r: r.weighted_q[(4.0, 3.0)])
-              for res in results]
-    rows = []
-    for i in range(len(eps_list) - 1):
-        a, b = results[i].final_state, results[i + 1].final_state
-        du = lp_norm(ScalarField(a.grid, a.u.values - b.u.values), 1.0)
-        dv = lp_norm(ScalarField(a.grid, a.v.values - b.v.values), 1.0)
-        rows.append((eps_list[i], eps_list[i + 1], du, dv,
-                     sup_f4[i], sup_f4[i + 1]))
-
-    with open(os.path.join(out_dir, "continuation.csv"), "w") as fh:
-        fh.write("eps,eps_next,du_l1,dv_l1,sup_f4,sup_f4_next\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
-
-    manifest.update(finished=_now(), status="success",
-                    files=["continuation.csv"])
-    _write_manifest(out_dir, manifest)
+        raise StepFailure(f"child run {failed[0]} failed",
+                          results[failed[0]].final_state)
     return manifest
 
 
@@ -262,25 +285,12 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
     """Manufactured-solution verification: spatial orders from a doubling
     grid sequence, temporal orders from fixed-grid step-size halving.
 
-    The manifest is written with status "running" as soon as the output
-    directory exists, and finalized however the study ends, as in
-    `run_scenario`: "success", "error" (re-raised) or "interrupted"."""
+    The manifest is finalized by `recorded`, as in `run_scenario`."""
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2 or any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be a doubling sequence of length >= 2")
     out_dir = out_dir or config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "config": config_to_dict(config),
-        "version": __version__,
-        "started": _now(),
-        "status": "running",
-        "children": [],
-    }
-    _write_manifest(out_dir, manifest)
-    files: list[str] = []
-    try:
-
+    with recorded(out_dir, config, children=[]) as (manifest, files):
         l = config.model.l
         residual = mms.residual_check(l)
         if residual > MMS_RESIDUAL_TOL:
@@ -347,73 +357,46 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
                 order = "" if i == 0 else "%.17g" % temporal_orders[i - 1]
                 fh.write(f"{dt:.17g},{diffs[i]:.17g},{order}\n")
         files.append("temporal.csv")
-        manifest.update(status="success", residual=residual,
-                        spatial_orders=spatial_orders,
+        manifest.update(residual=residual, spatial_orders=spatial_orders,
                         temporal_orders=temporal_orders, errors=errors,
                         temporal_diffs=diffs)
-    except KeyboardInterrupt:
-        manifest["status"] = "interrupted"
-        raise
-    except Exception as exc:
-        manifest.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        raise
-    finally:
-        manifest.update(finished=_now(), files=files)
-        _write_manifest(out_dir, manifest)
     return manifest
 
 
 def l_sweep(config: RunConfig, l_list, out_dir: str | None = None,
             jobs: int = 1) -> dict:
     """One scenario run per diffusion exponent; summary of the sup-in-time
-    norms the boundedness statements control."""
+    norms the boundedness statements control.  A child that fails still
+    gets its summary row: "nan" cells (if it left no records) and its
+    status; the study then ends as "child_failure"."""
     l_list = [float(l) for l in l_list]
     if not l_list:
         raise ValueError("l sweep needs at least one exponent")
     out_dir = out_dir or config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    started = _now()
 
     p_list = tuple(sorted(set(config.p_list) | {2.0}))
     q_alpha = config.q_alpha
     if (4.0, 3.0) not in q_alpha:
         q_alpha = ((4.0, 3.0),) + q_alpha
-
-    tasks = []
-    children = []
-    for l in l_list:
-        child = dataclasses.replace(
-            config,
-            model=dataclasses.replace(config.model, l=l),
-            p_list=p_list, q_alpha=q_alpha)
-        sub = f"l_{l:g}"
-        tasks.append((child, os.path.join(out_dir, sub)))
-        children.append(sub)
-    results = _map_runs(tasks, jobs)
-
-    with open(os.path.join(out_dir, "sweep_summary.csv"), "w") as fh:
-        fh.write("l,sup_lp_u_2,sup_lp_u_inf,sup_f4,final_mass_u,status\n")
-        for l, res in zip(l_list, results):
-            recs = res.records
-            fh.write(",".join([
-                "%.17g" % l,
-                "%.17g" % _sup_record(recs, lambda r: r.lp_u[2.0]),
-                "%.17g" % _sup_record(recs, lambda r: r.lp_u[math.inf]),
-                "%.17g" % _sup_record(recs, lambda r: r.weighted_q[(4.0, 3.0)]),
-                "%.17g" % recs[-1].mass_u,
-                res.manifest["status"],
-            ]) + "\n")
-
-    manifest = {
-        "config": config_to_dict(config),
-        "version": __version__,
-        "started": started,
-        "finished": _now(),
-        "status": "success" if all(r.manifest["status"] == "success"
-                                   for r in results) else "child_failure",
-        "files": ["sweep_summary.csv"],
-        "children": children,
-        "l_list": l_list,
-    }
-    _write_manifest(out_dir, manifest)
+    children = _children("l", l_list, lambda l: dataclasses.replace(
+        config, model=dataclasses.replace(config.model, l=l),
+        p_list=p_list, q_alpha=q_alpha))
+    with recorded(out_dir, config, children=list(children),
+                  l_list=l_list) as (manifest, files):
+        results = _run_children(manifest, out_dir, children, jobs)
+        with open(os.path.join(out_dir, "sweep_summary.csv"), "w") as fh:
+            fh.write("l,sup_lp_u_2,sup_lp_u_inf,sup_f4,final_mass_u,status\n")
+            for l, res in zip(l_list, results.values()):
+                recs = res.records
+                cells = [math.nan] * 4
+                if recs:
+                    cells = [
+                        _sup_record(recs, lambda r: r.lp_u[2.0]),
+                        _sup_record(recs, lambda r: r.lp_u[math.inf]),
+                        _sup_record(recs, lambda r: r.weighted_q[(4.0, 3.0)]),
+                        recs[-1].mass_u,
+                    ]
+                fh.write(",".join(["%.17g" % x for x in [l, *cells]]
+                                  + [res.manifest["status"]]) + "\n")
+        files.append("sweep_summary.csv")
     return manifest

@@ -22,7 +22,6 @@ __all__ = [
     "integrate",
     "integrate_array",
     "face_gradient",
-    "divergence",
     "laplacian",
     "lp_norm",
     "face_quadrature",
@@ -195,14 +194,6 @@ def face_gradient(f: ScalarField) -> tuple[np.ndarray, ...]:
         g[tuple(inner)] = interior_face_gradient(f.values, axis, h)
         out.append(g)
     return tuple(out)
-
-
-def divergence(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> ScalarField:
-    """Divergence of per-axis face fluxes (boundary faces included)."""
-    out = np.zeros(grid.shape)
-    for axis, h in enumerate(grid.h):
-        out += np.diff(fluxes[axis], axis=axis) / h
-    return ScalarField(grid, out, copy=False)
 
 
 def _laplacian_array(a: np.ndarray, h: tuple[float, ...]) -> np.ndarray:

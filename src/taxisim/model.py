@@ -21,7 +21,6 @@ __all__ = [
     "InvalidInitialData",
     "PositivityViolation",
     "regularize_initial",
-    "rhs",
     "rhs_arrays",
     "stability_dt",
 ]
@@ -87,11 +86,6 @@ def regularize_initial(u0: ScalarField, v0: ScalarField,
     return State(u=u, v=v0.copy(), t=0.0, cumulative_uv=0.0)
 
 
-# The grid's work arrays, shared with `grid.face_sums`; one lru_cache, so
-# clearing it here clears it there.
-_scratch = work_arrays
-
-
 def _coefficients(u: np.ndarray, v: np.ndarray, params: ModelParams,
                   work: WorkArrays):
     """Cellwise diffusion coefficient u^(l-1) v and taxis coefficient u^l v,
@@ -119,7 +113,7 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
     that of `grid.interior_face_gradient` and `grid.interior_face_mean`.  The
     returned arrays are freshly allocated.
     """
-    work = _scratch(grid)
+    work = work_arrays(grid)
     coef_d, coef_t = _coefficients(u, v, params, work)
     harmonic = params.face_mean == "harmonic"
     du = np.zeros(u.shape)
@@ -164,13 +158,6 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
     return du, dv
 
 
-def rhs(state: State, params: ModelParams) -> tuple[ScalarField, ScalarField]:
-    """Time derivative (du, dv) of the regularized system on `state`."""
-    du, dv = rhs_arrays(state.u.values, state.v.values, state.grid, params)
-    return (ScalarField(state.grid, du, copy=False),
-            ScalarField(state.grid, dv, copy=False))
-
-
 def stability_dt(state: State, params: ModelParams,
                  safety: float = 0.4) -> float:
     """Explicit diffusion step bound dt <= safety * h^2 / (2 * dim * Dmax).
@@ -181,7 +168,7 @@ def stability_dt(state: State, params: ModelParams,
     """
     v = state.v.values
     grid = state.grid
-    work = _scratch(grid)
+    work = work_arrays(grid)
     coef_d, coef_t = _coefficients(state.u.values, v, params, work)
     gv_max = 0.0
     for ha, lo, hi, (diff, *_) in work.axes:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from taxisim import cli
+from taxisim import cli, experiments
 from taxisim.cli import _floats, main
 from taxisim.config import load_config
 from taxisim.inequalities import check_ineq_61, check_ineq_64, cosine_family
@@ -131,6 +131,9 @@ def read_manifest(out_dir):
     return manifest
 
 
+STUDIES = ("sweep", "continuation")
+
+
 class TestIneq:
     @pytest.mark.parametrize("ps, etas", [
         ("1,2", "0.1,1,10"),
@@ -188,6 +191,7 @@ class TestIneq:
             assert "error" not in manifest
         assert manifest["files"] == ["manifest.json"]
 
+    # cases that do not start with a study command are `ineq` options
     @pytest.mark.parametrize("bad", [
         ["--count", "0"],
         ["--count", "-2"],
@@ -195,28 +199,73 @@ class TestIneq:
         ["--p", "1,0.99"],
         ["--eta", "0"],
         ["--eta", "1,-0.5"],
+        ["sweep", "--l", "0.5,2"],
+        ["sweep", "--jobs", "0", "--l", "2"],
+        ["continuation", "--eps", "0.1,1"],
+        ["continuation", "--eps", "0.1,0,-0.1"],
+        ["continuation", "--jobs", "0", "--eps", "0.1,0.05"],
     ])
     def test_impossible_arguments_rejected(self, tmp_path, capsys, bad):
+        command, *opts = bad if bad[0] in STUDIES else ["ineq", *bad]
         cfg = write_config_2d(tmp_path)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(["ineq", cfg, "--out", str(out)] + bad)
+            main([command, cfg, "--out", str(out)] + opts)
         assert exc.value.code == 2
-        assert bad[0] in capsys.readouterr().err
+        assert opts[0] in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", [
         ["--eta", "0.1,0.1000001"],
         ["--eta", "1,2,1.0000001"],
         ["--p", "1,1.0000001"],
+        ["sweep", "--l", "2,2.0000001"],
+        ["sweep", "--l", "2,3,2"],
+        ["continuation", "--eps", "0.1000001,0.1"],
     ])
     def test_colliding_labels_rejected(self, tmp_path, capsys, bad):
         # rows and fitted constants are named by the %g label, so two values
-        # sharing one would overwrite a constant
+        # sharing one would overwrite a constant; a study names each child's
+        # directory by it, so there even equal values collide
+        command, *opts = bad if bad[0] in STUDIES else ["ineq", *bad]
         cfg = write_config_2d(tmp_path)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(["ineq", cfg, "--out", str(out)] + bad)
+            main([command, cfg, "--out", str(out)] + opts)
         assert exc.value.code == 2
         assert "share the label" in capsys.readouterr().err
         assert not out.exists()
+
+
+# per command: its extra arguments and a name its finalized block calls
+LIFECYCLE = {
+    "run": ([], (experiments, "full_record")),
+    "continuation": (["--eps", "0.1,0.05"], (experiments, "_run_children")),
+    "refine": (["--n", "16,32"], (experiments.mms, "residual_check")),
+    "sweep": (["--l", "2"], (experiments, "_run_children")),
+    "ineq": (["--count", "2"], (cli, "cosine_family")),
+}
+
+
+@pytest.mark.parametrize("exc_type, status", [
+    (RuntimeError, "error"),
+    (KeyboardInterrupt, "interrupted"),
+])
+@pytest.mark.parametrize("command", list(LIFECYCLE))
+def test_every_command_finalizes_manifest(tmp_path, monkeypatch, command,
+                                          exc_type, status):
+    extra, (module, name) = LIFECYCLE[command]
+
+    def fail(*args, **kwargs):
+        raise exc_type("disk on fire")
+
+    monkeypatch.setattr(module, name, fail)
+    out = str(tmp_path / "out")
+    with pytest.raises(exc_type):
+        main([command, write_config(tmp_path), "--out", out] + extra)
+    manifest = read_manifest(out)
+    assert manifest["status"] == status
+    assert manifest["started"] <= manifest["finished"]
+    assert manifest["files"][-1] == "manifest.json"
+    assert manifest.get("error") == ("RuntimeError: disk on fire"
+                                     if exc_type is RuntimeError else None)

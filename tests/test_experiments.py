@@ -252,6 +252,22 @@ class TestEpsilonContinuation:
         assert manifest["files"] == ["manifest.json"]
         assert "finished" in manifest
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_child_spares_siblings(self, tmp_path, jobs):
+        # a regular file where eps_0.05's directory belongs makes that child
+        # raise; its siblings still finish and the study records the failure
+        (tmp_path / "eps_0.05").write_text("")
+        with pytest.raises(StepFailure, match="child run eps_0.05 failed"):
+            epsilon_continuation(small_config(), [0.1, 0.05, 0.025],
+                                 str(tmp_path), jobs=jobs)
+        with open(tmp_path / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["status"] == "child_failure"
+        assert manifest["failed_children"] == ["eps_0.05"]
+        assert manifest["files"] == ["manifest.json"]
+        for child in ("eps_0.1", "eps_0.025"):
+            assert check_manifest(str(tmp_path / child))["status"] == "success"
+
     def test_rejects_nondecreasing(self, tmp_path):
         cfg = small_config()
         with pytest.raises(ValueError):
@@ -324,6 +340,25 @@ class TestLSweep:
         child = check_manifest(str(tmp_path / "l_2.5"))
         assert child["config"]["model"]["l"] == 2.5
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_child_spares_siblings(self, tmp_path, jobs):
+        # a regular file where l_2.5's directory belongs makes that child
+        # raise; its siblings still finish and it keeps its summary row
+        (tmp_path / "l_2.5").write_text("")
+        man = l_sweep(small_config(), [2, 2.5, 3], str(tmp_path), jobs=jobs)
+        lines = (tmp_path / "sweep_summary.csv").read_text().strip().split("\n")
+        assert len(lines) == 4
+        assert lines[2] == "2.5,nan,nan,nan,nan,error"
+        assert [line.split(",")[-1] for line in lines[1:]] \
+            == ["success", "error", "success"]
+        with open(tmp_path / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["status"] == man["status"] == "child_failure"
+        assert manifest["failed_children"] == ["l_2.5"]
+        assert manifest["files"] == ["sweep_summary.csv", "manifest.json"]
+        for child in ("l_2", "l_3"):
+            assert check_manifest(str(tmp_path / child))["status"] == "success"
+
     def test_pool_matches_serial(self, tmp_path):
         cfg = parse_config("""
 grid.nx = 16
@@ -340,3 +375,15 @@ diagnostics.sample_interval = 0.01
             assert man["status"] == "success"
         assert (tmp_path / "jobs1" / "sweep_summary.csv").read_bytes() \
             == (tmp_path / "jobs2" / "sweep_summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("make, values", [
+    (l_sweep, [2, 2.0000001]),
+    (epsilon_continuation, [0.1000001, 0.1]),
+])
+def test_colliding_children_rejected(tmp_path, make, values):
+    # each child's directory is named by its %g label
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="share the subdirectory"):
+        make(small_config(), values, str(out))
+    assert not out.exists()

@@ -11,7 +11,6 @@ from taxisim import (
     integrate,
     laplacian,
     regularize_initial,
-    rhs,
     stability_dt,
 )
 from taxisim.grid import _axis_slices
@@ -85,9 +84,10 @@ class TestRhs:
     def test_constants(self):
         g = grid2d(8)
         st = State(u=ScalarField.full(g, 2.0), v=ScalarField.full(g, 3.0))
-        du, dv = rhs(st, ModelParams(l=2.0, epsilon=0.01))
-        np.testing.assert_allclose(du.values, 6.0, atol=1e-14)
-        np.testing.assert_allclose(dv.values, -6.0, atol=1e-14)
+        du, dv = rhs_arrays(st.u.values, st.v.values, g,
+                            ModelParams(l=2.0, epsilon=0.01))
+        np.testing.assert_allclose(du, 6.0, atol=1e-14)
+        np.testing.assert_allclose(dv, -6.0, atol=1e-14)
 
     def test_gaussian_bump_against_loop_stencil(self):
         # v constant kills the taxis flux; compare the degenerate diffusion
@@ -97,7 +97,7 @@ class TestRhs:
         u = 1.0 + np.exp(-((x - 0.5) ** 2) / 0.02)
         st = State(u=ScalarField(g, u), v=ScalarField.full(g, 1.0))
         params = ModelParams(l=2.0, epsilon=0.01)
-        du, dv = rhs(st, params)
+        du, dv = rhs_arrays(st.u.values, st.v.values, g, params)
 
         h = g.h[0]
         n = g.shape[0]
@@ -108,53 +108,56 @@ class TestRhs:
             flux_r = 0.0 if i == n - 1 else 0.5 * (uc + ur) * (ur - uc) / h
             flux_l = 0.0 if i == 0 else 0.5 * (ul + uc) * (uc - ul) / h
             expected[i] = (flux_r - flux_l) / h + uc
-        np.testing.assert_allclose(du.values, expected, atol=1e-12)
-        np.testing.assert_allclose(dv.values, -u, atol=1e-12)
+        np.testing.assert_allclose(du, expected, atol=1e-12)
+        np.testing.assert_allclose(dv, -u, atol=1e-12)
 
     def test_mass_neutral(self):
         params = ModelParams(l=2.5, epsilon=0.01)
         for seed in range(100):
             g = grid2d(7) if seed % 2 else grid1d(13)
             st = random_state(g, seed)
-            du, dv = rhs(st, params)
-            total = integrate(ScalarField(g, du.values + dv.values))
+            du, dv = rhs_arrays(st.u.values, st.v.values, g, params)
+            total = integrate(ScalarField(g, du + dv))
             assert abs(total) < 1e-12
 
     def test_l1_v1_reduces_to_heat_plus_growth(self):
         g = grid1d(20)
         st = random_state(g, 3)
         st = State(u=st.u, v=ScalarField.full(g, 1.0))
-        du, _ = rhs(st, ModelParams(l=1.0, epsilon=0.01))
+        du, _ = rhs_arrays(st.u.values, st.v.values, g,
+                           ModelParams(l=1.0, epsilon=0.01))
         expected = laplacian(st.u).values + st.u.values
-        np.testing.assert_allclose(du.values, expected, atol=1e-12)
+        np.testing.assert_allclose(du, expected, atol=1e-12)
 
     def test_taxis_vanishes_for_flat_v(self):
         # flat v, l = 1: taxis flux is gone and du collapses to c*(lap u + u)
         g = grid1d(20)
         st = random_state(g, 5)
         stf = State(u=st.u, v=ScalarField.full(g, 2.0))
-        du, _ = rhs(stf, ModelParams(l=1.0, epsilon=0.01))
+        du, _ = rhs_arrays(stf.u.values, stf.v.values, g,
+                           ModelParams(l=1.0, epsilon=0.01))
         expected = 2.0 * (laplacian(st.u).values + st.u.values)
-        np.testing.assert_allclose(du.values, expected, atol=1e-12)
+        np.testing.assert_allclose(du, expected, atol=1e-12)
 
     def test_transpose_symmetry_2d(self):
         g = grid2d(10)
         st = random_state(g, 9)
         params = ModelParams(l=2.0, epsilon=0.01)
-        du, dv = rhs(st, params)
+        du, dv = rhs_arrays(st.u.values, st.v.values, g, params)
         st_t = State(u=ScalarField(g, st.u.values.T),
                      v=ScalarField(g, st.v.values.T))
-        du_t, dv_t = rhs(st_t, params)
-        np.testing.assert_allclose(du_t.values, du.values.T, atol=1e-12)
-        np.testing.assert_allclose(dv_t.values, dv.values.T, atol=1e-12)
+        du_t, dv_t = rhs_arrays(st_t.u.values, st_t.v.values, g, params)
+        np.testing.assert_allclose(du_t, du.T, atol=1e-12)
+        np.testing.assert_allclose(dv_t, dv.T, atol=1e-12)
 
     def test_harmonic_mean_positive(self):
         g = grid1d(16)
         st = random_state(g, 11, lo=0.01, hi=5.0)
-        du, dv = rhs(st, ModelParams(l=2.0, epsilon=0.01,
-                                     face_mean="harmonic"))
-        assert np.all(np.isfinite(du.values))
-        total = integrate(ScalarField(g, du.values + dv.values))
+        du, dv = rhs_arrays(st.u.values, st.v.values, g,
+                            ModelParams(l=2.0, epsilon=0.01,
+                                        face_mean="harmonic"))
+        assert np.all(np.isfinite(du))
+        total = integrate(ScalarField(g, du + dv))
         assert abs(total) < 1e-12
 
 

@@ -20,7 +20,7 @@ from taxisim import (
     step,
 )
 import taxisim.stepper
-from taxisim import model
+from taxisim.grid import work_arrays
 from taxisim.model import rhs_arrays, stability_dt
 from taxisim.stepper import _acceptable
 
@@ -252,13 +252,13 @@ class TestWorkArrays:
         ctrl = StepControl()
         alone = []
         for st in starts:
-            model._scratch.cache_clear()
+            work_arrays.cache_clear()
             run = []
             for _ in range(4):
                 st = step(st, PARAMS, ctrl)
                 run.append(st)
             alone.append(run)
-        model._scratch.cache_clear()
+        work_arrays.cache_clear()
         states = list(starts)
         for k in range(4):
             for i, ref in enumerate(alone):
@@ -275,7 +275,7 @@ class TestWorkArrays:
         g = Grid(Domain((1.0,) * len(shape)), shape)
         ctrl = StepControl()
         first = step(random_state(g, 3), PARAMS, ctrl)
-        model._scratch.cache_clear()
+        work_arrays.cache_clear()
         fresh = full_record(first, PARAMS, (2.0, 4.0))
         plain = step(first, PARAMS, ctrl)
         rec = full_record(first, PARAMS, (2.0, 4.0))
