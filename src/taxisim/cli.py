@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 from .config import load_config
 from .experiments import (
@@ -48,6 +49,18 @@ def _checked(parse, ok, need: str, distinct: bool = False):
     return convert
 
 
+def _sequence(convert, ok, need: str):
+    """Argparse type: a list from `convert` that must pass `ok` as a whole
+    (its length and order), checked like each value in `_checked`."""
+    def check(raw: str):
+        values = convert(raw)
+        if not ok(values):
+            raise argparse.ArgumentTypeError(f"{raw!r} is not {need}")
+        return values
+    check.__name__ = convert.__name__
+    return check
+
+
 def _load(args):
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -77,21 +90,32 @@ def main(argv=None) -> int:
     p = sub.add_parser("continuation", help="decreasing-epsilon study")
     _add_common(p)
     p.add_argument("--eps", required=True,
-                   type=_checked(_floats, lambda e: 0.0 < e < 1.0, "in (0, 1)",
-                                 distinct=True),
+                   type=_sequence(
+                       _checked(_floats, lambda e: 0.0 < e < 1.0, "in (0, 1)",
+                                distinct=True),
+                       lambda es: len(es) >= 2 and all(
+                           b < a for a, b in zip(es, es[1:])),
+                       "a strictly decreasing list of length >= 2"),
                    help="strictly decreasing comma list, e.g. 0.1,0.05,0.025")
     p.add_argument("--jobs", type=positive_int, default=1)
 
     p = sub.add_parser("refine", help="manufactured-solution order study")
     _add_common(p)
-    p.add_argument("--n", required=True, type=_ints,
+    p.add_argument("--n", required=True,
+                   type=_sequence(
+                       _checked(_ints, lambda n: n >= 1, ">= 1"),
+                       lambda ns: len(ns) >= 2 and all(
+                           b == 2 * a for a, b in zip(ns, ns[1:])),
+                       "a doubling list of length >= 2"),
                    help="doubling grid sizes, e.g. 32,64,128,256")
 
     p = sub.add_parser("sweep", help="diffusion-exponent sweep")
     _add_common(p)
     p.add_argument("--l", required=True,
-                   type=_checked(_floats, lambda l: l >= 1.0, ">= 1",
-                                 distinct=True),
+                   type=_sequence(
+                       _checked(_floats, lambda l: l >= 1.0, ">= 1",
+                                distinct=True),
+                       bool, "a non-empty list"),
                    help="comma list of exponents, each >= 1, e.g. 1.5,2,2.5,3")
     p.add_argument("--jobs", type=positive_int, default=1)
 
@@ -137,11 +161,19 @@ def main(argv=None) -> int:
 def _run_ineq(cfg, args) -> int:
     """Fit the constants of (6.1) and (6.4) over a seeded field family and
     write ineq_reports.csv, ineq_summary.json and a manifest that
-    `recorded` finalizes, as in `run_scenario`."""
+    `recorded` finalizes, as in `run_scenario`.  Once both are written, its
+    "timings" give the wall seconds of the family build, the (6.1) and (6.4)
+    checks and the writes, as fixed-point strings: the manifest's size must
+    not depend on how long a call took."""
+    seconds = dict.fromkeys(["family_s", "ineq_61_s", "ineq_64_s",
+                             "write_s"], 0.0)
+    timings = {}
     with recorded(cfg.out_dir, cfg, count=args.count, p=args.p,
-                  eta=args.eta) as (_, files):
+                  eta=args.eta, timings=timings) as (_, files):
+        start = time.perf_counter()
         grid = cfg.grid()
         pairs = cosine_family(grid, args.count, cfg.seed)
+        seconds["family_s"] = time.perf_counter() - start
         rows = []
         fitted = {}
         for p in args.p:
@@ -150,6 +182,7 @@ def _run_ineq(cfg, args) -> int:
                      for eta in args.eta]
             # per set, one (field seed, lhs, rhs total, ratio) row per pair
             columns = [[] for _ in sets]
+            start = time.perf_counter()
             for i, (phi, psi) in enumerate(pairs):
                 rep = check_ineq_61(phi, psi, p, field_seed=i)
                 terms = rep.rhs_terms
@@ -157,15 +190,19 @@ def _run_ineq(cfg, args) -> int:
                                    terms["bracket"] * terms["factor"],
                                    rep.ratio))
             # one (6.4) face pass per pair serves every eta
+            middle = time.perf_counter()
             for i, (phi, psi) in enumerate(pairs):
                 reps = check_ineq_64(phi, psi, p, args.eta, field_seed=i)
                 for column, rep in zip(columns[1:], reps):
                     column.append((i, rep.lhs, sum(rep.rhs_terms.values()),
                                    rep.ratio))
+            seconds["ineq_61_s"] += middle - start
+            seconds["ineq_64_s"] += time.perf_counter() - middle
             for (ineq, eta, key), column in zip(sets, columns):
                 rows += [(ineq, p, eta, *row) for row in column]
                 fitted[key] = max([0.0] + [row[-1] for row in column])
 
+        start = time.perf_counter()
         with open(os.path.join(cfg.out_dir, "ineq_reports.csv"), "w") as fh:
             fh.write("ineq,field_seed,p,eta,lhs,rhs_total,ratio\n")
             for ineq, p, eta, i, lhs, total, ratio in rows:
@@ -178,6 +215,8 @@ def _run_ineq(cfg, args) -> int:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
         files.append("ineq_summary.json")
+        seconds["write_s"] = time.perf_counter() - start
+        timings.update((key, f"{s:.6f}") for key, s in seconds.items())
     print(f"inequality lab finished: out={cfg.out_dir}")
     return 0
 

@@ -202,7 +202,9 @@ def _run_child(args) -> RunResult:
 def _run_children(manifest: dict, out_dir, children: dict, jobs: int) -> dict:
     """Run a study's {subdirectory: config} children under `out_dir` and
     return their results by subdirectory.  If any child did not succeed, the
-    study's manifest becomes "child_failure" with its "failed_children"."""
+    study's manifest becomes "child_failure" with its "failed_children" and
+    their "child_errors": "Type: message" for a child that raised, the
+    failure message for one that ended as "step_failure"."""
     tasks = [(child, os.path.join(out_dir, sub))
              for sub, child in children.items()]
     if jobs <= 1:
@@ -217,7 +219,9 @@ def _run_children(manifest: dict, out_dir, children: dict, jobs: int) -> dict:
     failed = [sub for sub, res in results.items()
               if res.manifest["status"] != "success"]
     if failed:
-        manifest.update(status="child_failure", failed_children=failed)
+        manifest.update(status="child_failure", failed_children=failed,
+                        child_errors={sub: results[sub].manifest["error"]
+                                      for sub in failed})
     return results
 
 

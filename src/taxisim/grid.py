@@ -241,8 +241,9 @@ def face_quadrature(grid: Grid, axis: int) -> np.ndarray:
 
 class WorkArrays(NamedTuple):
     """Work arrays of one grid: seven rows of one cell field each,
-    overwritten by every step (`model.stability_dt`, `model.rhs_arrays`)
-    and every `face_sums` call on that grid."""
+    overwritten by every step (`model.stability_dt`, `model.rhs_arrays`),
+    every `face_sums` call and every 2D `inequalities.cosine_family` on that
+    grid."""
 
     # rows 4-6 as cell fields: the step's two mobility coefficients and u*v
     coef_d: np.ndarray
@@ -253,6 +254,8 @@ class WorkArrays(NamedTuple):
     axes: tuple
     # per axis: interior-face views of all seven rows, for `face_sums`
     faces: tuple
+    # the seven rows, shaped (7, cells)
+    rows: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
@@ -268,7 +271,7 @@ def work_arrays(grid: Grid) -> WorkArrays:
     axes = tuple((ha, *_axis_slices(grid.dim, axis), faces[axis][:4])
                  for axis, ha in enumerate(grid.h))
     return WorkArrays(*(r.reshape(grid.shape) for r in rows[4:]), axes,
-                      tuple(faces))
+                      tuple(faces), rows)
 
 
 def face_sums(grid: Grid, integrand, grads=(), means=()) -> list[float]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import _dissipation_faces
-from .grid import Grid, ScalarField, face_sums, integrate_array
+from .diagnostics import _dissipation_faces, _quotient_faces
+from .grid import Grid, ScalarField, face_sums, integrate_array, work_arrays
 from .model import PositivityViolation
 
 __all__ = [
@@ -90,27 +90,24 @@ def check_ineq_64(phi: ScalarField, psi: ScalarField, p: float, eta,
     sup_psi = float(s.max())
     fp1s = f ** (p + 1.0) * s
 
-    # in place, with the operation order of m_fp1s * gs * gs * w,
-    # gs ** 4 / ms ** 3 * w and m_fm1s * gf * gf * w
+    # in place, with the operation order of m_fp1s * gs * gs * w and
+    # m_fm1s * gf * gf * w; the quartic quotient is weighted_gradient's
     def faces(gf, gs, m_fp1s, m_fm1s, ms, w, spare):
-        t, den = spare
+        t = spare[0]
         np.multiply(m_fp1s, gs, out=t)
         t *= gs
-        t *= w
-        yield t
-        np.copyto(t, gs)
-        t **= 4
-        np.copyto(den, ms)
-        den **= 3
-        t /= den
         t *= w
         yield t
         np.multiply(m_fm1s, gf, out=t)
         t *= gf
         t *= w
         yield t
+        # m_fp1s and m_fm1s are free from here on
+        g2 = np.multiply(gs, gs, out=m_fp1s)
+        yield from _quotient_faces(gs, ms, w, g2, [(4.0, 3.0)],
+                                   (t, spare[1], m_fm1s))
 
-    lhs, f4, grad_phi = face_sums(grid, faces, grads=(f, s),
+    lhs, grad_phi, f4 = face_sums(grid, faces, grads=(f, s),
                                   means=(fp1s, f ** (p - 1.0) * s, s))
     int_fp1s = integrate_array(grid, fp1s)
     mass_power = (sup_psi ** 2
@@ -148,54 +145,77 @@ def fit_constant(family, check, **params) -> float:
     return best
 
 
-def _cosine_tables(grid: Grid, modes: int) -> list[list[np.ndarray]]:
-    """Per axis, cos(k pi x / L) at the cell centers for k = 1..modes, each
-    shaped to broadcast along its axis."""
-    tables = []
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.shape[axis]
-        x = grid.centers(axis).reshape(shape)
-        length = grid.domain.lengths[axis]
-        tables.append([np.cos(k * np.pi * x / length)
-                       for k in range(1, modes + 1)])
-    return tables
-
-
-def _random_smooth(rng: np.random.Generator, grid: Grid, tables, lo: float,
-                   hi: float) -> ScalarField:
-    modes = len(tables[0])
-    raw = np.zeros(grid.shape)
+def _cosine_basis(grid: Grid, modes: int) -> list[np.ndarray]:
+    """Per axis, the factor cos(k pi x / L) at the cell centers of every term
+    of the series (1 where the term's k on that axis is 0), stacked along a
+    leading term axis and shaped to broadcast along its own axis.  The terms
+    are k = 1..modes in 1D and (kx, ky) != (0, 0) in 0..modes, ky fastest,
+    in 2D."""
     if grid.dim == 1:
         ks = [(k,) for k in range(1, modes + 1)]
     else:
         ks = [(kx, ky) for kx in range(modes + 1) for ky in range(modes + 1)
               if (kx, ky) != (0, 0)]
-    for k in ks:
-        term = rng.normal()
-        for axis, ka in enumerate(k):
-            if ka:
-                term = term * tables[axis][ka - 1]
-        raw += term
-    span = raw.max() - raw.min()
+    basis = []
+    for axis in range(grid.dim):
+        shape = [len(ks)] + [1] * grid.dim
+        shape[axis + 1] = grid.shape[axis]
+        x = grid.centers(axis)
+        length = grid.domain.lengths[axis]
+        basis.append(np.stack([np.cos(k[axis] * np.pi * x / length)
+                               if k[axis] else np.ones_like(x)
+                               for k in ks]).reshape(shape))
+    return basis
+
+
+def _random_smooth(rng: np.random.Generator, grid: Grid, basis, lo: float,
+                   hi: float) -> ScalarField:
+    # one draw per term; a term is (c * cx) * cy, in 2D formed as the same
+    # product cy * (c * cx), and the reduction over the leading axis adds the
+    # terms in order.  In 2D the terms are formed a block of rows at a time
+    # in the grid's work arrays, which the checks that follow need anyway,
+    # so that building a family does not raise the peak memory
+    terms = (rng.normal(size=len(basis[0])).reshape((-1,) + (1,) * grid.dim)
+             * basis[0])
+    if grid.dim == 1:
+        raw = np.add.reduce(terms, axis=0)
+    else:
+        k, (nx, ny) = len(terms), grid.shape
+        buf = work_arrays(grid).rows.reshape(-1)
+        if buf.size < k * ny:  # more terms than the work arrays hold rows
+            buf = np.empty(k * ny)
+        nrows = buf.size // (k * ny)
+        raw = np.empty(grid.shape)
+        for i in range(0, nx, nrows):
+            block = terms[:, i:i + nrows]
+            out = buf[:block.size * ny].reshape(k, -1, ny)
+            np.copyto(out, basis[1])
+            out *= block
+            np.add.reduce(out, axis=0, out=raw[i:i + nrows])
+    low = raw.min()
+    span = raw.max() - low
     if span < 1e-30:
         return ScalarField.full(grid, 0.5 * (lo + hi))
-    vals = lo + (hi - lo) * (raw - raw.min()) / span
-    return ScalarField(grid, vals, copy=False)
+    # lo + (hi - lo) * (raw - low) / span, in place
+    raw -= low
+    raw *= hi - lo
+    raw /= span
+    raw += lo
+    return ScalarField(grid, raw, copy=False)
 
 
 def cosine_family(grid: Grid, count: int, seed: int, modes: int = 3,
                   lo_range=(0.1, 1.0), hi_range=(1.0, 10.0)):
     """Seeded list of (phi, psi) pairs of smooth positive fields."""
     rng = np.random.default_rng(seed)
-    tables = _cosine_tables(grid, modes)
+    basis = _cosine_basis(grid, modes)
     pairs = []
     for _ in range(count):
         lo = rng.uniform(*lo_range)
         hi = rng.uniform(*hi_range)
-        phi = _random_smooth(rng, grid, tables, lo, hi)
+        phi = _random_smooth(rng, grid, basis, lo, hi)
         lo = rng.uniform(*lo_range)
         hi = rng.uniform(*hi_range)
-        psi = _random_smooth(rng, grid, tables, lo, hi)
+        psi = _random_smooth(rng, grid, basis, lo, hi)
         pairs.append((phi, psi))
     return pairs

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -131,7 +132,7 @@ def read_manifest(out_dir):
     return manifest
 
 
-STUDIES = ("sweep", "continuation")
+STUDIES = ("sweep", "continuation", "refine")
 
 
 class TestIneq:
@@ -161,6 +162,12 @@ class TestIneq:
         assert (manifest["count"], manifest["p"], manifest["eta"]) \
             == (2, [1.0], [1.0, 2.0])
         assert "finished" in manifest and "error" not in manifest
+        # fixed-point strings, so identical calls write equal-sized manifests
+        timings = manifest["timings"]
+        assert list(timings) == ["family_s", "ineq_61_s", "ineq_64_s",
+                                 "write_s"]
+        for t in timings.values():
+            assert re.fullmatch(r"\d+\.\d{6}", t) and float(t) > 0.0
 
     @pytest.mark.parametrize("exc_type, status", [
         (RuntimeError, "error"),
@@ -204,6 +211,14 @@ class TestIneq:
         ["continuation", "--eps", "0.1,1"],
         ["continuation", "--eps", "0.1,0,-0.1"],
         ["continuation", "--jobs", "0", "--eps", "0.1,0.05"],
+        ["continuation", "--eps", "0.05,0.1"],
+        ["continuation", "--eps", "0.1,0.05,0.07"],
+        ["continuation", "--eps", "0.05"],
+        ["refine", "--n", "16,24"],
+        ["refine", "--n", "16,32,32"],
+        ["refine", "--n", "16"],
+        ["refine", "--n", "0,0"],
+        ["sweep", "--l", ""],
     ])
     def test_impossible_arguments_rejected(self, tmp_path, capsys, bad):
         command, *opts = bad if bad[0] in STUDIES else ["ineq", *bad]

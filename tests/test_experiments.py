@@ -248,6 +248,9 @@ class TestEpsilonContinuation:
         manifest = check_manifest(str(tmp_path))
         assert manifest["status"] == "child_failure"
         assert manifest["failed_children"] == ["eps_0.1", "eps_0.05"]
+        assert manifest["child_errors"] == {
+            child: check_manifest(str(tmp_path / child))["error"]
+            for child in ("eps_0.1", "eps_0.05")}
         assert manifest["children"] == ["eps_0.1", "eps_0.05"]
         assert manifest["files"] == ["manifest.json"]
         assert "finished" in manifest
@@ -358,6 +361,20 @@ class TestLSweep:
         assert manifest["files"] == ["sweep_summary.csv", "manifest.json"]
         for child in ("l_2", "l_3"):
             assert check_manifest(str(tmp_path / child))["status"] == "success"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_child_error_recorded(self, tmp_path, jobs):
+        # the study manifest keeps the "Type: message" of a child that
+        # raised before its own directory (and manifest) existed
+        blocker = tmp_path / "l_2.5"
+        blocker.write_text("")
+        l_sweep(small_config(), [2, 2.5, 3], str(tmp_path), jobs=jobs)
+        with open(tmp_path / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["failed_children"] == ["l_2.5"]
+        assert list(manifest["child_errors"]) == ["l_2.5"]
+        assert manifest["child_errors"]["l_2.5"].startswith("FileExistsError: ")
+        assert str(blocker) in manifest["child_errors"]["l_2.5"]
 
     def test_pool_matches_serial(self, tmp_path):
         cfg = parse_config("""

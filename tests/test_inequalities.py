@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from taxisim import (
     IneqReport,
     PositivityViolation,
     ScalarField,
+    State,
     check_ineq_61,
     check_ineq_64,
     cosine_family,
     fit_constant,
     inequalities,
+    weighted_gradient,
 )
+from taxisim.grid import face_sums, integrate_array
 
 
 def grid1d(n=64, L=1.0):
@@ -178,6 +182,110 @@ class TestIneq64EtaSequence:
             check_ineq_64(phi, ScalarField.full(g, 1.0), 1.0, etas)
 
 
+def reference_ineq64(phi, psi, p, eta):
+    """(lhs, rhs terms, ratio) of (6.4) with the quartic quotient formed by
+    numpy's `**` (gs ** 4 / ms ** 3 * w) instead of the product kernel that
+    `weighted_gradient` uses: the reference for check_ineq_64's terms and
+    for its allocations."""
+    grid = phi.grid
+    f, s = phi.values, psi.values
+    sup_psi = float(s.max())
+    fp1s = f ** (p + 1.0) * s
+
+    # in place in the grid's face buffers
+    def faces(gf, gs, m_fp1s, m_fm1s, ms, w, spare):
+        t, den = spare
+        np.multiply(m_fp1s, gs, out=t)
+        t *= gs
+        t *= w
+        yield t
+        np.copyto(t, gs)
+        t **= 4
+        np.copyto(den, ms)
+        den **= 3
+        t /= den
+        t *= w
+        yield t
+        np.multiply(m_fm1s, gf, out=t)
+        t *= gf
+        t *= w
+        yield t
+
+    lhs, f4, grad_phi = face_sums(grid, faces, grads=(f, s),
+                                  means=(fp1s, f ** (p - 1.0) * s, s))
+    terms = {
+        "eta_grad_phi": eta * grad_phi,
+        "mixed": ((sup_psi + sup_psi ** 3 / eta)
+                  * integrate_array(grid, fp1s) * f4),
+        "mass_power": (sup_psi ** 2
+                       * integrate_array(grid, f) ** (2.0 * p + 1.0) * f4),
+        "base": sup_psi ** 2 * integrate_array(grid, f * s),
+    }
+    denom = sum(terms.values())
+    return lhs, terms, (lhs / denom if lhs else 0.0)
+
+
+class TestIneq64MatchesReference:
+    ETAS = (0.1, 1.0, 10.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("grid", [
+        grid1d(48),
+        Grid(Domain((1.0, 1.0)), (16, 16)),
+        Grid(Domain((1.0, 3.0)), (12, 9)),
+    ], ids=["1d", "2d-square", "2d-stretched"])
+    def test_terms_match(self, grid, p):
+        for i, (phi, psi) in enumerate(cosine_family(grid, 5, seed=23)):
+            reports = check_ineq_64(phi, psi, p, self.ETAS, field_seed=i)
+            for eta, rep in zip(self.ETAS, reports):
+                lhs, terms, ratio = reference_ineq64(phi, psi, p, eta)
+                assert rep.lhs == lhs
+                for key in ("eta_grad_phi", "base"):
+                    assert rep.rhs_terms[key] == terms[key]
+                for key in ("mixed", "mass_power"):
+                    assert rep.rhs_terms[key] == pytest.approx(terms[key],
+                                                               rel=1e-14)
+                assert rep.ratio == pytest.approx(ratio, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    @pytest.mark.parametrize("grid", [
+        grid1d(48),
+        Grid(Domain((1.0, 3.0)), (12, 9)),
+    ], ids=["1d", "2d-stretched"])
+    def test_quotient_is_weighted_gradient(self, grid, p):
+        # the quartic quotient f4 of psi enters mass_power and mixed as a
+        # factor; forming both from weighted_gradient gives them to the bit
+        for phi, psi in cosine_family(grid, 5, seed=29):
+            f, s = phi.values, psi.values
+            f4 = weighted_gradient(State(phi, psi), 4.0, 3.0)
+            sup_psi = float(s.max())
+            rep = check_ineq_64(phi, psi, p, 0.5)
+            assert rep.rhs_terms["mass_power"] == (
+                sup_psi ** 2 * integrate_array(grid, f) ** (2.0 * p + 1.0)
+                * f4)
+            assert rep.rhs_terms["mixed"] == (
+                (sup_psi + sup_psi ** 3 / 0.5)
+                * integrate_array(grid, f ** (p + 1.0) * s) * f4)
+
+    def test_allocation_bound(self):
+        # the shared kernel works in the grid's face buffers: at most one
+        # field size above the reference's peak
+        grid = Grid(Domain((1.0, 1.0)), (64, 64))
+        (phi, psi), = cosine_family(grid, 1, seed=31)
+        peaks = []
+        for check in (reference_ineq64,
+                      lambda *args: check_ineq_64(*args, field_seed=0)):
+            check(phi, psi, 2.0, 1.0)  # the grid's work arrays exist now
+            tracemalloc.start()
+            try:
+                check(phi, psi, 2.0, 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        reference, shared = peaks
+        assert shared <= reference + phi.values.nbytes
+
+
 class TestFitConstant:
     def test_singleton_constant_family(self):
         pair = const_pair(grid1d(8), 1.0, 1.0)
@@ -254,6 +362,7 @@ class TestCosineFamily:
         ((10.0,), (37,)),
         ((1.0, 1.0), (64, 64)),
         ((2.0, 3.5), (48, 80)),
+        ((1.0, 1.0), (2, 9)),  # more terms than the work arrays hold rows
     ])
     @pytest.mark.parametrize("seed, modes", [(0, 3), (1, 3), (7, 5)])
     def test_matches_reference_bitwise(self, lengths, shape, seed, modes):
