@@ -243,16 +243,24 @@ class WorkArrays(NamedTuple):
     """Work arrays of one grid: seven rows of one cell field each,
     overwritten by every step (`model.stability_dt`, `model.rhs_arrays`),
     every `face_sums` call and every 2D `inequalities.cosine_family` on that
-    grid."""
+    grid.
+
+    The step's face passes run over flattened cells, where the faces of an
+    axis of stride s join flat cells k and k + s: each pass is one
+    contiguous slice, while numpy copies a strided axis-1 slice inside
+    every ufunc call.  On the last axis of a 2D grid the flat faces at
+    `junk` join the end of one row to the start of the next; the step
+    zeroes them."""
 
     # rows 4-6 as cell fields: the step's two mobility coefficients and u*v
     coef_d: np.ndarray
     coef_t: np.ndarray
     uv: np.ndarray
-    # per axis: (h, lo, hi, faces), with `faces` interior-face views of rows
-    # 0-3, the step's face buffers
+    # per axis, flat: (h, lo, hi, junk, faces), with `faces` views of rows
+    # 0-3, the step's face buffers; `junk` is None without junk faces
     axes: tuple
-    # per axis: interior-face views of all seven rows, for `face_sums`
+    # per axis, shaped: (h, lo, hi, faces), with `faces` interior-face views
+    # of all seven rows, for `face_sums`
     faces: tuple
     # the seven rows, shaped (7, cells)
     rows: np.ndarray
@@ -264,13 +272,18 @@ def work_arrays(grid: Grid) -> WorkArrays:
     neither a step nor a face pass allocates field-sized temporaries.  Calls
     on one grid must not run concurrently in threads of one process."""
     rows = np.empty((7, grid.num_cells))
-    faces = []
-    for axis in range(grid.dim):
+    ny = grid.shape[-1]
+    axes, faces = [], []
+    for axis, ha in enumerate(grid.h):
+        stride = math.prod(grid.shape[axis + 1:])
+        nf = grid.num_cells - stride
+        junk = slice(ny - 1, None, ny) if grid.dim > 1 and stride == 1 else None
+        axes.append((ha, slice(None, nf), slice(stride, None), junk,
+                     tuple(r[:nf] for r in rows[:4])))
         s = tuple(n - (a == axis) for a, n in enumerate(grid.shape))
-        faces.append(tuple(r[:math.prod(s)].reshape(s) for r in rows))
-    axes = tuple((ha, *_axis_slices(grid.dim, axis), faces[axis][:4])
-                 for axis, ha in enumerate(grid.h))
-    return WorkArrays(*(r.reshape(grid.shape) for r in rows[4:]), axes,
+        faces.append((ha, *_axis_slices(grid.dim, axis),
+                      tuple(r[:math.prod(s)].reshape(s) for r in rows)))
+    return WorkArrays(*(r.reshape(grid.shape) for r in rows[4:]), tuple(axes),
                       tuple(faces), rows)
 
 
@@ -291,8 +304,7 @@ def face_sums(grid: Grid, integrand, grads=(), means=()) -> list[float]:
     n = len(grads) + len(means)
     totals = []
     work = work_arrays(grid)
-    for (h, lo, hi, _), faces, w in zip(work.axes, work.faces,
-                                        grid._face_weights):
+    for (h, lo, hi, faces), w in zip(work.faces, grid._face_weights):
         for a, out in zip(grads, faces):
             np.subtract(a[hi], a[lo], out=out)
             out /= h

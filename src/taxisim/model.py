@@ -109,16 +109,23 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
     """Array-level right-hand side; `source` is an optional (f_u, f_v) pair.
 
     Per axis the face differences, face means and the two fluxes divided by
-    h are each formed once, in the grid's work arrays; the operation order is
-    that of `grid.interior_face_gradient` and `grid.interior_face_mean`.  The
-    returned arrays are freshly allocated.
+    h are each formed once, over flattened cells in the grid's work arrays
+    (see `WorkArrays`); the operation order is that of
+    `grid.interior_face_gradient` and `grid.interior_face_mean`.  The
+    returned arrays are freshly allocated; u*v is left in the work arrays'
+    `uv`.
     """
     work = work_arrays(grid)
     coef_d, coef_t = _coefficients(u, v, params, work)
     harmonic = params.face_mean == "harmonic"
     du = np.zeros(u.shape)
     dv = np.zeros(v.shape)
-    for ha, lo, hi, (gu, gv, flux, den) in work.axes:
+    r = np.multiply(u, v, out=work.uv)
+    fdu, fdv = du, dv
+    if grid.dim > 1:
+        u, v, coef_d, coef_t, fdu, fdv = (
+            a.reshape(-1) for a in (u, v, coef_d, coef_t, du, dv))
+    for ha, lo, hi, junk, (gu, gv, flux, den) in work.axes:
         np.subtract(u[hi], u[lo], out=gu)
         gu /= ha
         np.subtract(v[hi], v[lo], out=gv)
@@ -145,11 +152,13 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
         flux -= gu
         flux /= ha
         gv /= ha
-        du[lo] += flux
-        du[hi] -= flux
-        dv[lo] += gv
-        dv[hi] -= gv
-    r = np.multiply(u, v, out=work.uv)
+        if junk is not None:
+            flux[junk] = 0.0
+            gv[junk] = 0.0
+        fdu[lo] += flux
+        fdu[hi] -= flux
+        fdv[lo] += gv
+        fdv[hi] -= gv
     du += r
     dv -= r
     if source is not None:
@@ -170,9 +179,13 @@ def stability_dt(state: State, params: ModelParams,
     grid = state.grid
     work = work_arrays(grid)
     coef_d, coef_t = _coefficients(state.u.values, v, params, work)
+    if grid.dim > 1:
+        v = v.reshape(-1)
     gv_max = 0.0
-    for ha, lo, hi, (diff, *_) in work.axes:
+    for ha, lo, hi, junk, (diff, *_) in work.axes:
         np.subtract(v[hi], v[lo], out=diff)
+        if junk is not None:
+            diff[junk] = 0.0
         g = np.abs(diff, out=diff).max() / ha
         if g > gv_max:
             gv_max = g

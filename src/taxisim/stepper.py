@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField
+from .grid import ScalarField, work_arrays
 from .model import ModelParams, State, rhs_arrays, stability_dt
 
 __all__ = ["StepControl", "StepFailure", "step", "run_until"]
@@ -57,7 +57,8 @@ def step(state: State, params: ModelParams, ctrl: StepControl,
         dt = min(dt, dt_max)
     src = source(state.t, grid) if source is not None else None
     du, dv = rhs_arrays(u, v, grid, params, src)
-    uv_sum = float((u * v).sum())  # consumption rate, independent of dt
+    # consumption rate, independent of dt, from the u*v rhs_arrays left
+    uv_sum = float(work_arrays(grid).uv.sum())
 
     for _ in range(ctrl.max_halvings + 1):
         if dt < ctrl.dt_min:
