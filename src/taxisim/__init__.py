@@ -9,7 +9,6 @@ from .grid import (  # noqa: F401
     Domain,
     Grid,
     ScalarField,
-    face_gradient,
     integrate,
     laplacian,
     lp_norm,

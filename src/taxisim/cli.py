@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -20,7 +21,10 @@ from .inequalities import check_ineq_61, check_ineq_64, cosine_family
 
 
 def _floats(raw: str) -> list[float]:
-    return [float(x) for x in raw.split(",") if x.strip()]
+    values = [float(x) for x in raw.split(",") if x.strip()]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"{raw!r} holds a non-finite number")
+    return values
 
 
 def _ints(raw: str) -> list[int]:

@@ -6,6 +6,7 @@ hard errors, so configs stay diffable and typo-proof.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace, asdict
 
 from .grid import Domain, Grid
@@ -85,15 +86,23 @@ _KNOWN = {
 _REQUIRED = ("grid.nx", "model.l", "model.epsilon", "time.T", "init.preset")
 
 
+def _finite(raw: str) -> float:
+    """float(raw); nan and inf raise ValueError, as no key can honour them."""
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(raw)
+    return x
+
+
 def _parse_value(key: str, raw: str, kind: str, lineno: int):
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "floats":
             raw = raw.strip()
-            return tuple(float(x) for x in raw.split(",")) if raw else ()
+            return tuple(_finite(x) for x in raw.split(",")) if raw else ()
         if kind == "bool":
             if raw in ("on", "true", "1", "yes"):
                 return True
@@ -102,8 +111,9 @@ def _parse_value(key: str, raw: str, kind: str, lineno: int):
             raise ValueError(raw)
         return raw
     except ValueError:
+        what = "finite " + kind if kind.startswith("float") else kind
         raise ConfigError(
-            f"line {lineno}: cannot parse {key} = {raw!r} as {kind}") from None
+            f"line {lineno}: cannot parse {key} = {raw!r} as {what}") from None
 
 
 def _parse_q_alpha(raw: str, lineno: int):
@@ -116,7 +126,12 @@ def _parse_q_alpha(raw: str, lineno: int):
         if len(parts) != 2:
             raise ConfigError(
                 f"line {lineno}: q_alpha entries use q:alpha, got {chunk!r}")
-        out.append((float(parts[0]), float(parts[1])))
+        try:
+            out.append((_finite(parts[0]), _finite(parts[1])))
+        except ValueError:
+            raise ConfigError(
+                f"line {lineno}: diagnostics.q_alpha entry {chunk!r} needs "
+                "two finite numbers") from None
     return tuple(out)
 
 

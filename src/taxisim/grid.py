@@ -21,13 +21,10 @@ __all__ = [
     "ScalarField",
     "integrate",
     "integrate_array",
-    "face_gradient",
     "laplacian",
     "lp_norm",
     "face_quadrature",
     "face_sums",
-    "interior_face_gradient",
-    "interior_face_mean",
     "write_field",
     "read_field",
 ]
@@ -102,14 +99,6 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
-    @cached_property
-    def _face_weights(self) -> tuple[np.ndarray, ...]:
-        """Per axis, the read-only `face_quadrature` dual volumes."""
-        out = tuple(face_quadrature(self, axis) for axis in range(self.dim))
-        for w in out:
-            w.flags.writeable = False
-        return out
-
     def centers(self, axis: int) -> np.ndarray:
         n = self.shape[axis]
         return (np.arange(n) + 0.5) * self.h[axis]
@@ -135,11 +124,6 @@ class ScalarField:
     def full(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)), copy=False)
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        """Sample ``fn(*coords)`` at cell centers."""
-        return cls(grid, fn(*grid.meshgrid()), copy=False)
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values, copy=True)
 
@@ -163,37 +147,6 @@ def integrate_array(grid: Grid, a: np.ndarray) -> float:
 def integrate(f: ScalarField) -> float:
     """Midpoint-rule integral over the domain."""
     return integrate_array(f.grid, f.values)
-
-
-def interior_face_gradient(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Difference quotient on the interior faces of one axis."""
-    return np.diff(values, axis=axis) / h
-
-
-def interior_face_mean(values: np.ndarray, axis: int,
-                       kind: str = "arithmetic") -> np.ndarray:
-    """Average adjacent cell values to the interior faces of one axis."""
-    lo, hi = _axis_slices(values.ndim, axis)
-    a, b = values[lo], values[hi]
-    if kind == "arithmetic":
-        return 0.5 * (a + b)
-    if kind == "harmonic":
-        return 2.0 * a * b / (a + b)
-    raise ValueError(f"unknown face mean {kind!r}")
-
-
-def face_gradient(f: ScalarField) -> tuple[np.ndarray, ...]:
-    """Per-axis face gradients including boundary faces, which carry 0."""
-    out = []
-    for axis, h in enumerate(f.grid.h):
-        shape = list(f.grid.shape)
-        shape[axis] += 1
-        g = np.zeros(shape)
-        inner = [slice(None)] * f.values.ndim
-        inner[axis] = slice(1, -1)
-        g[tuple(inner)] = interior_face_gradient(f.values, axis, h)
-        out.append(g)
-    return tuple(out)
 
 
 def _laplacian_array(a: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
@@ -245,23 +198,21 @@ class WorkArrays(NamedTuple):
     every `face_sums` call and every 2D `inequalities.cosine_family` on that
     grid.
 
-    The step's face passes run over flattened cells, where the faces of an
-    axis of stride s join flat cells k and k + s: each pass is one
-    contiguous slice, while numpy copies a strided axis-1 slice inside
-    every ufunc call.  On the last axis of a 2D grid the flat faces at
-    `junk` join the end of one row to the start of the next; the step
-    zeroes them."""
+    Face passes run over flattened cells, where the faces of an axis of
+    stride s join flat cells k and k + s: each pass is one contiguous
+    slice, while numpy copies a strided axis-1 slice inside every ufunc
+    call.  On the last axis of a 2D grid the flat faces at `junk` join the
+    end of one row to the start of the next; the step zeroes them, and
+    their dual volume is 0.0."""
 
     # rows 4-6 as cell fields: the step's two mobility coefficients and u*v
     coef_d: np.ndarray
     coef_t: np.ndarray
     uv: np.ndarray
-    # per axis, flat: (h, lo, hi, junk, faces), with `faces` views of rows
-    # 0-3, the step's face buffers; `junk` is None without junk faces
+    # per axis, flat: (h, lo, hi, junk, w, faces), with `w` the read-only
+    # dual volumes and `faces` views of the seven rows, of which the step
+    # uses the first four; `junk` is None without junk faces
     axes: tuple
-    # per axis, shaped: (h, lo, hi, faces), with `faces` interior-face views
-    # of all seven rows, for `face_sums`
-    faces: tuple
     # the seven rows, shaped (7, cells)
     rows: np.ndarray
 
@@ -273,38 +224,41 @@ def work_arrays(grid: Grid) -> WorkArrays:
     on one grid must not run concurrently in threads of one process."""
     rows = np.empty((7, grid.num_cells))
     ny = grid.shape[-1]
-    axes, faces = [], []
+    axes = []
     for axis, ha in enumerate(grid.h):
         stride = math.prod(grid.shape[axis + 1:])
         nf = grid.num_cells - stride
         junk = slice(ny - 1, None, ny) if grid.dim > 1 and stride == 1 else None
-        axes.append((ha, slice(None, nf), slice(stride, None), junk,
-                     tuple(r[:nf] for r in rows[:4])))
-        s = tuple(n - (a == axis) for a, n in enumerate(grid.shape))
-        faces.append((ha, *_axis_slices(grid.dim, axis),
-                      tuple(r[:math.prod(s)].reshape(s) for r in rows)))
+        # per flat cell, the dual volume of its face towards +axis, 0 on the
+        # last cell of a line
+        w = np.append(face_quadrature(grid, axis), 0.0).repeat(stride)
+        w = np.tile(w, grid.num_cells // w.size)[:nf]
+        w.flags.writeable = False
+        axes.append((ha, slice(None, nf), slice(stride, None), junk, w,
+                     tuple(r[:nf] for r in rows)))
     return WorkArrays(*(r.reshape(grid.shape) for r in rows[4:]), tuple(axes),
-                      tuple(faces), rows)
+                      rows)
 
 
 def face_sums(grid: Grid, integrand, grads=(), means=()) -> list[float]:
     """Interior-face sums of several integrands in one pass over the axes.
 
     Per axis, the face gradients of the arrays in `grads` and the arithmetic
-    face means of the arrays in `means` are formed once, in the grid's work
-    arrays, and ``integrand(*gradients, *means, w, spare)`` is called: `w`
-    holds the dual volumes and `spare` the remaining face buffers of the
-    work arrays.  The integrand yields face arrays; the k-th total sums the
-    k-th array it yields, and per-axis sums accumulate in axis order.  Each
-    array is summed as it is yielded, so the integrand may then overwrite
-    it, any spare buffer, and any face array it no longer needs.  The
-    operation order is that of `interior_face_gradient` and
-    `interior_face_mean`.
+    face means of the arrays in `means` are formed once, over flattened
+    cells in the grid's work arrays (see `WorkArrays`), and
+    ``integrand(*gradients, *means, w, spare)`` is called: `w` holds the
+    dual volumes and `spare` the remaining face buffers of the work arrays.
+    The integrand yields face arrays, each a product with `w`, so a junk
+    face adds exactly 0; the k-th total sums the k-th array it yields, and
+    per-axis sums accumulate in axis order.  Each array is summed as it is
+    yielded, so the integrand may then overwrite it, any spare buffer, and
+    any face array it no longer needs.
     """
     n = len(grads) + len(means)
+    grads = [a.reshape(-1) for a in grads]
+    means = [a.reshape(-1) for a in means]
     totals = []
-    work = work_arrays(grid)
-    for (h, lo, hi, faces), w in zip(work.faces, grid._face_weights):
+    for h, lo, hi, _, w, faces in work_arrays(grid).axes:
         for a, out in zip(grads, faces):
             np.subtract(a[hi], a[lo], out=out)
             out /= h

@@ -110,10 +110,8 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
 
     Per axis the face differences, face means and the two fluxes divided by
     h are each formed once, over flattened cells in the grid's work arrays
-    (see `WorkArrays`); the operation order is that of
-    `grid.interior_face_gradient` and `grid.interior_face_mean`.  The
-    returned arrays are freshly allocated; u*v is left in the work arrays'
-    `uv`.
+    (see `WorkArrays`).  The returned arrays are freshly allocated; u*v is
+    left in the work arrays' `uv`.
     """
     work = work_arrays(grid)
     coef_d, coef_t = _coefficients(u, v, params, work)
@@ -125,7 +123,7 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
     if grid.dim > 1:
         u, v, coef_d, coef_t, fdu, fdv = (
             a.reshape(-1) for a in (u, v, coef_d, coef_t, du, dv))
-    for ha, lo, hi, junk, (gu, gv, flux, den) in work.axes:
+    for ha, lo, hi, junk, _, (gu, gv, flux, den, *_) in work.axes:
         np.subtract(u[hi], u[lo], out=gu)
         gu /= ha
         np.subtract(v[hi], v[lo], out=gv)
@@ -182,7 +180,7 @@ def stability_dt(state: State, params: ModelParams,
     if grid.dim > 1:
         v = v.reshape(-1)
     gv_max = 0.0
-    for ha, lo, hi, junk, (diff, *_) in work.axes:
+    for ha, lo, hi, junk, _, (diff, *_) in work.axes:
         np.subtract(v[hi], v[lo], out=diff)
         if junk is not None:
             diff[junk] = 0.0

@@ -219,6 +219,11 @@ class TestIneq:
         ["refine", "--n", "16"],
         ["refine", "--n", "0,0"],
         ["sweep", "--l", ""],
+        ["--p", "inf"],
+        ["--p", "1,inf"],
+        ["--eta", "inf"],
+        ["sweep", "--l", "2,inf"],
+        ["sweep", "--l", "inf"],
     ])
     def test_impossible_arguments_rejected(self, tmp_path, capsys, bad):
         command, *opts = bad if bad[0] in STUDIES else ["ineq", *bad]

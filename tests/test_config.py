@@ -110,6 +110,32 @@ class TestValidation:
             parse_config(text + "init.noise_amp = 2\ninit.base = 1\n")
 
 
+class TestNonFinite:
+    # each parsed, and before they were rejected each crashed a run, ended it
+    # as step_failure, or was silently honoured as nonsense
+    @pytest.mark.parametrize("line", [
+        "time.T = nan",
+        "time.T = inf",
+        "domain.lx = nan",
+        "domain.ly = -inf",
+        "model.l = nan",
+        "model.b = nan",
+        "time.dt_min = nan",
+        "time.dt_min = inf",
+        "diagnostics.sample_interval = inf",
+        "diagnostics.p_list = 2,inf",
+        "diagnostics.q_alpha = inf:3",
+        "init.a = nan",
+        "init.b = inf",
+    ])
+    def test_rejected_naming_key(self, line):
+        key = line.split(" = ")[0]
+        text = "".join(f"{ln}\n" for ln in MINIMAL.splitlines()
+                       if ln and not ln.startswith(key + " "))
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            parse_config(text + line + "\n")
+
+
 class TestRicherConfigs:
     def test_2d_with_preset_params(self):
         text = """
