@@ -4,65 +4,32 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
 
-from .config import load_config
+from .config import ConfigError, _finite, load_config
 from .experiments import (
+    continuation_children,
     epsilon_continuation,
     l_sweep,
+    labels,
     recorded,
+    refinement_grids,
     refinement_study,
     run_scenario,
+    sweep_children,
 )
+from .inequalities import _check_eta, _check_p
 from .inequalities import check_ineq_61, check_ineq_64, cosine_family
 
 
 def _floats(raw: str) -> list[float]:
-    values = [float(x) for x in raw.split(",") if x.strip()]
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"{raw!r} holds a non-finite number")
-    return values
+    return [_finite(x) for x in raw.split(",") if x.strip()]
 
 
 def _ints(raw: str) -> list[int]:
     return [int(x) for x in raw.split(",") if x.strip()]
-
-
-def _checked(parse, ok, need: str, distinct: bool = False):
-    """Argparse type: `parse` the argument and reject any value failing
-    `ok`, and any two different values of a list that share a `%g` label
-    (outputs name each value by it; with `distinct`, equal values too, as
-    each names its own child directory), so an impossible argument fails
-    before any output exists."""
-    def convert(raw: str):
-        value = parse(raw)
-        labels = {}
-        for x in value if isinstance(value, list) else [value]:
-            if not ok(x):
-                raise argparse.ArgumentTypeError(f"{x:g} is not {need}")
-            label = f"{x:g}"
-            if label in labels and (distinct or labels[label] != x):
-                raise argparse.ArgumentTypeError(
-                    f"{labels[label]!r} and {x!r} share the label {label}")
-            labels[label] = x
-        return value
-    convert.__name__ = parse.__name__  # argparse names it in parse errors
-    return convert
-
-
-def _sequence(convert, ok, need: str):
-    """Argparse type: a list from `convert` that must pass `ok` as a whole
-    (its length and order), checked like each value in `_checked`."""
-    def check(raw: str):
-        values = convert(raw)
-        if not ok(values):
-            raise argparse.ArgumentTypeError(f"{raw!r} is not {need}")
-        return values
-    check.__name__ = convert.__name__
-    return check
 
 
 def _load(args):
@@ -72,6 +39,28 @@ def _load(args):
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     return cfg
+
+
+def _check(cfg, args) -> None:
+    """The command's check of its arguments, before any output exists; a
+    ValueError starts with `<name>: `, naming the option `--<name>`."""
+    if args.command == "continuation":
+        continuation_children(cfg, args.eps, args.jobs)
+    elif args.command == "refine":
+        refinement_grids(args.n)
+    elif args.command == "sweep":
+        sweep_children(cfg, args.l, args.jobs)
+    elif args.command == "ineq":
+        if args.count < 1:
+            raise ValueError(f"count: {args.count} is not >= 1")
+        for name, values, rule in (("p", args.p, _check_p),
+                                   ("eta", args.eta, _check_eta)):
+            try:
+                for x in values:
+                    rule(x)
+                labels(values, "rows and fitted constants")
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
 def _add_common(p):
@@ -86,56 +75,48 @@ def main(argv=None) -> int:
         description="Numerical laboratory for the regularized degenerate "
                     "nutrient-taxis system")
     sub = ap.add_subparsers(dest="command", required=True)
-    positive_int = _checked(int, lambda n: n >= 1, ">= 1")
 
     p = sub.add_parser("run", help="single simulation")
     _add_common(p)
 
     p = sub.add_parser("continuation", help="decreasing-epsilon study")
     _add_common(p)
-    p.add_argument("--eps", required=True,
-                   type=_sequence(
-                       _checked(_floats, lambda e: 0.0 < e < 1.0, "in (0, 1)",
-                                distinct=True),
-                       lambda es: len(es) >= 2 and all(
-                           b < a for a, b in zip(es, es[1:])),
-                       "a strictly decreasing list of length >= 2"),
+    p.add_argument("--eps", required=True, type=_floats,
                    help="strictly decreasing comma list, e.g. 0.1,0.05,0.025")
-    p.add_argument("--jobs", type=positive_int, default=1)
+    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("refine", help="manufactured-solution order study")
     _add_common(p)
-    p.add_argument("--n", required=True,
-                   type=_sequence(
-                       _checked(_ints, lambda n: n >= 1, ">= 1"),
-                       lambda ns: len(ns) >= 2 and all(
-                           b == 2 * a for a, b in zip(ns, ns[1:])),
-                       "a doubling list of length >= 2"),
+    p.add_argument("--n", required=True, type=_ints,
                    help="doubling grid sizes, e.g. 32,64,128,256")
 
     p = sub.add_parser("sweep", help="diffusion-exponent sweep")
     _add_common(p)
-    p.add_argument("--l", required=True,
-                   type=_sequence(
-                       _checked(_floats, lambda l: l >= 1.0, ">= 1",
-                                distinct=True),
-                       bool, "a non-empty list"),
+    p.add_argument("--l", required=True, type=_floats,
                    help="comma list of exponents, each >= 1, e.g. 1.5,2,2.5,3")
-    p.add_argument("--jobs", type=positive_int, default=1)
+    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("ineq", help="functional-inequality stress test")
     _add_common(p)
-    p.add_argument("--count", type=positive_int, default=100,
+    p.add_argument("--count", type=int, default=100,
                    help="field pairs, at least 1")
-    p.add_argument("--p", type=_checked(_floats, lambda x: x >= 1.0, ">= 1"),
-                   default=[1.0, 2.0],
+    p.add_argument("--p", type=_floats, default=[1.0, 2.0],
                    help="comma list of exponents, each >= 1")
-    p.add_argument("--eta", type=_checked(_floats, lambda x: x > 0.0, "> 0"),
-                   default=[0.1, 1.0, 10.0],
+    p.add_argument("--eta", type=_floats, default=[0.1, 1.0, 10.0],
                    help="comma list of Young weights, each > 0")
 
     args = ap.parse_args(argv)
-    cfg = _load(args)
+    # a config or argument that cannot be honoured is a usage error, found
+    # before the output directory exists
+    usage = sub.choices[args.command]
+    try:
+        cfg = _load(args)
+    except ConfigError as exc:
+        usage.error(str(exc))
+    try:
+        _check(cfg, args)
+    except ValueError as exc:
+        usage.error(f"argument --{exc}")
 
     if args.command == "run":
         res = run_scenario(cfg)

@@ -9,26 +9,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace, asdict
 
+from .diagnostics import _check_exponents
 from .grid import Domain, Grid
 from .model import ModelParams
+from .presets import check_preset, preset_defaults
 from .stepper import StepControl
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
-           "config_to_dict", "PRESET_PARAMS"]
+           "config_to_dict"]
 
 
 class ConfigError(ValueError):
     pass
-
-
-# Per-preset parameter names with defaults (None = computed later).
-PRESET_PARAMS = {
-    "constant": {"a": 1.0, "b": 1.0},
-    "gaussian_colony": {"amplitude": 1.0, "width": 0.1, "v": 1.0,
-                        "center": None},
-    "perturbed_front": {"base": 1.0, "noise_amp": 0.01, "v": 1.0},
-    "checker": {"lo": 0.5, "hi": 1.5, "tiles": 4.0, "v": 1.0},
-}
 
 
 @dataclass(frozen=True)
@@ -61,24 +53,24 @@ class RunConfig:
 
 _KNOWN = {
     "domain.dim": "int",
-    "domain.lx": "float",
-    "domain.ly": "float",
+    "domain.lx": "finite float",
+    "domain.ly": "finite float",
     "grid.nx": "int",
     "grid.ny": "int",
-    "model.l": "float",
-    "model.epsilon": "float",
-    "model.b": "float",
+    "model.l": "finite float",
+    "model.epsilon": "finite float",
+    "model.b": "finite float",
     "model.face_mean": "str",
-    "time.T": "float",
-    "time.safety": "float",
-    "time.dt_min": "float",
+    "time.T": "finite float",
+    "time.safety": "finite float",
+    "time.dt_min": "finite float",
     "time.max_halvings": "int",
     "init.preset": "str",
-    "diagnostics.p_list": "floats",
-    "diagnostics.q_alpha": "str",
-    "diagnostics.sample_interval": "float",
+    "diagnostics.p_list": "finite floats",
+    "diagnostics.q_alpha": "finite q:alpha pairs",
+    "diagnostics.sample_interval": "finite float",
     "output.dir": "str",
-    "output.snapshot_times": "floats",
+    "output.snapshot_times": "finite floats",
     "output.images": "bool",
     "seed": "int",
 }
@@ -94,45 +86,26 @@ def _finite(raw: str) -> float:
     return x
 
 
-def _parse_value(key: str, raw: str, kind: str, lineno: int):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return _finite(raw)
-        if kind == "floats":
-            raw = raw.strip()
-            return tuple(_finite(x) for x in raw.split(",")) if raw else ()
-        if kind == "bool":
-            if raw in ("on", "true", "1", "yes"):
-                return True
-            if raw in ("off", "false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return raw
-    except ValueError:
-        what = "finite " + kind if kind.startswith("float") else kind
-        raise ConfigError(
-            f"line {lineno}: cannot parse {key} = {raw!r} as {what}") from None
-
-
-def _parse_q_alpha(raw: str, lineno: int):
-    out = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise ConfigError(
-                f"line {lineno}: q_alpha entries use q:alpha, got {chunk!r}")
-        try:
-            out.append((_finite(parts[0]), _finite(parts[1])))
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: diagnostics.q_alpha entry {chunk!r} needs "
-                "two finite numbers") from None
-    return tuple(out)
+def _parse_value(raw: str, kind: str):
+    """`raw` as a value of `kind`; a ValueError if it is not one."""
+    if kind == "int":
+        return int(raw)
+    if kind == "finite float":
+        return _finite(raw)
+    if kind == "finite floats":
+        raw = raw.strip()
+        return tuple(_finite(x) for x in raw.split(",")) if raw else ()
+    if kind == "finite q:alpha pairs":
+        return tuple((_finite(q), _finite(a)) for q, a in
+                     (chunk.split(":") for chunk in raw.split(",")
+                      if chunk.strip()))
+    if kind == "bool":
+        if raw in ("on", "true", "1", "yes"):
+            return True
+        if raw in ("off", "false", "0", "no"):
+            return False
+        raise ValueError(raw)
+    return raw
 
 
 def parse_config(text: str, name: str = "<config>") -> RunConfig:
@@ -152,14 +125,18 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
             raise ConfigError(f"{name}: line {lineno}: duplicate key {key}")
         raw[key] = (value, lineno)
 
-    preset = raw.get("init.preset", ("", 0))[0]
+    def check(prefix, rule, *args, **kwargs):
+        """rule(*args, **kwargs); a ValueError becomes a ConfigError."""
+        try:
+            return rule(*args, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {prefix}{exc}") from None
+
     if "init.preset" not in raw:
         raise ConfigError(f"{name}: missing required key init.preset")
-    if preset not in PRESET_PARAMS:
-        raise ConfigError(
-            f"{name}: unknown init.preset {preset!r}; "
-            f"choose from {sorted(PRESET_PARAMS)}")
-    init_keys = {f"init.{k}" for k in PRESET_PARAMS[preset]}
+    preset = raw["init.preset"][0]
+    defaults = check("init.preset: ", preset_defaults, preset)
+    init_keys = {f"init.{k}" for k in defaults}
 
     for key, (_, lineno) in raw.items():
         if key not in _KNOWN and key not in init_keys:
@@ -168,23 +145,25 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
         if key not in raw:
             raise ConfigError(f"{name}: missing required key {key}")
 
-    def get(key, default=None):
+    def get(key, default=None, kind=None):
         if key not in raw:
             return default
         value, lineno = raw[key]
-        return _parse_value(key, value, _KNOWN[key], lineno)
+        kind = kind or _KNOWN[key]
+        try:
+            return _parse_value(value, kind)
+        except ValueError:
+            raise ConfigError(f"{name}: line {lineno}: cannot parse {key} = "
+                              f"{value!r} as {kind}") from None
 
     def build(section, cls, *keys, **fields):
         """cls(**fields, plus each of `keys` set as `section.key`).  The
         class validates its fields; its ValueError starts with the field
-        name, so the re-raised ConfigError names the key."""
+        name, so the ConfigError names the key."""
         for k in keys:
             if f"{section}.{k}" in raw:
                 fields[k] = get(f"{section}.{k}")
-        try:
-            return cls(**fields)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {section}.{exc}") from None
+        return check(f"{section}.", cls, **fields)
 
     dim = get("domain.dim", 1)
     if dim not in (1, 2):
@@ -203,29 +182,18 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
     if T <= 0.0:
         raise ConfigError(f"{name}: time.T must be positive, got {T}")
 
-    preset_params = {}
-    for pname, default in PRESET_PARAMS[preset].items():
-        key = f"init.{pname}"
-        if key in raw:
-            value, lineno = raw[key]
-            kind = "floats" if pname == "center" else "float"
-            preset_params[pname] = _parse_value(key, value, kind, lineno)
-        else:
-            preset_params[pname] = default
-    _validate_preset(name, preset, preset_params, dim)
+    preset_params = {
+        k: get(f"init.{k}", default,
+               "finite floats" if k == "center" else "finite float")
+        for k, default in defaults.items()}
+    check("init.", check_preset, preset_params, dim)
 
     p_list = get("diagnostics.p_list", (2.0, 4.0))
     if any(p < 1 for p in p_list):
         raise ConfigError(f"{name}: diagnostics.p_list entries must be >= 1")
-    if "diagnostics.q_alpha" in raw:
-        value, lineno = raw["diagnostics.q_alpha"]
-        q_alpha = _parse_q_alpha(value, lineno)
-    else:
-        q_alpha = ((4.0, 3.0), (6.0, 5.0))
-    for q, a in q_alpha:
-        if not (q > 2 and 0 < a < q):
-            raise ConfigError(
-                f"{name}: q_alpha entry ({q},{a}) needs q > 2 and 0 < alpha < q")
+    q_alpha = get("diagnostics.q_alpha", ((4.0, 3.0), (6.0, 5.0)))
+    for qa in q_alpha:
+        check("diagnostics.q_alpha: ", _check_exponents, *qa)
     sample_interval = get("diagnostics.sample_interval", T / 100.0)
     if sample_interval <= 0.0:
         raise ConfigError(f"{name}: diagnostics.sample_interval must be positive")
@@ -245,37 +213,6 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
         images=get("output.images", False),
         seed=get("seed", 0),
     )
-
-
-def _validate_preset(name: str, preset: str, params: dict, dim: int) -> None:
-    def bad(msg):
-        raise ConfigError(f"{name}: init.{msg}")
-
-    if preset == "constant":
-        if params["a"] < 0:
-            bad(f"a must be >= 0, got {params['a']}")
-        if params["b"] <= 0:
-            bad(f"b must be > 0, got {params['b']}")
-        return
-    if params.get("v", 1.0) <= 0:
-        bad(f"v must be > 0, got {params['v']}")
-    if preset == "gaussian_colony":
-        if params["amplitude"] <= 0:
-            bad(f"amplitude must be > 0, got {params['amplitude']}")
-        if params["width"] <= 0:
-            bad(f"width must be > 0, got {params['width']}")
-        if params["center"] is not None and len(params["center"]) != dim:
-            bad(f"center needs {dim} coordinates")
-    elif preset == "perturbed_front":
-        if params["base"] <= 0:
-            bad(f"base must be > 0, got {params['base']}")
-        if not 0 <= params["noise_amp"] < params["base"]:
-            bad("noise_amp must satisfy 0 <= noise_amp < base")
-    elif preset == "checker":
-        if params["lo"] < 0 or params["hi"] < params["lo"]:
-            bad("checker needs 0 <= lo <= hi")
-        if int(params["tiles"]) < 1:
-            bad("tiles must be >= 1")
 
 
 def load_config(path) -> RunConfig:

@@ -25,8 +25,12 @@ __all__ = [
     "RunResult",
     "recorded",
     "run_scenario",
+    "labels",
+    "continuation_children",
     "epsilon_continuation",
+    "refinement_grids",
     "refinement_study",
+    "sweep_children",
     "l_sweep",
     "write_pgm",
 ]
@@ -175,18 +179,31 @@ def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
     return RunResult(manifest=manifest, final_state=state, records=records)
 
 
-def _children(prefix: str, values, make) -> dict:
-    """{"<prefix>_<value:g>": make(value)}: one subdirectory per child.  Two
-    values sharing a label would share a directory, so that is a ValueError
-    (raised before the study makes any output)."""
-    children = {}
+def labels(values, output: str) -> dict:
+    """{`%g` label: value} of `values`.  Each label names an `output`, so two
+    values sharing one, equal ones included, are a ValueError."""
+    seen = {}
     for x in values:
-        sub = f"{prefix}_{x:g}"
-        if sub in children:
-            raise ValueError(f"two {prefix} values share the subdirectory "
-                             f"{sub}: {values}")
-        children[sub] = make(x)
-    return children
+        label = f"{x:g}"
+        if label in seen:
+            raise ValueError(f"{seen[label]!r} and {x!r} share the label "
+                             f"{label}, so they would share the {output}")
+        seen[label] = x
+    return seen
+
+
+def _children(prefix: str, values, make, jobs: int) -> dict:
+    """{"<prefix>_<label>": make(value)}: a study's children, one
+    subdirectory each, to run in `jobs` processes.  A ValueError, from
+    `labels` or `make`, starts with `prefix: ` (or `jobs: `), the argument
+    it is about; the CLI reports it as that option."""
+    if not jobs >= 1:
+        raise ValueError(f"jobs: {jobs} is not >= 1")
+    try:
+        return {f"{prefix}_{label}": make(x)
+                for label, x in labels(values, "subdirectory").items()}
+    except ValueError as exc:
+        raise ValueError(f"{prefix}: {exc}") from None
 
 
 def _run_child(args) -> RunResult:
@@ -229,24 +246,30 @@ def _sup_record(records, getter) -> float:
     return max(getter(rec) for rec in records)
 
 
+def continuation_children(config: RunConfig, eps_list, jobs: int = 1) -> dict:
+    """The {subdirectory: config} children of `epsilon_continuation`, each
+    with a snapshot at time.T.  A ValueError names "eps" unless `eps_list` is
+    strictly decreasing and at least two long (ModelParams checks each
+    epsilon), and names "jobs" unless `jobs` >= 1."""
+    eps_list = [float(e) for e in eps_list]
+    if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError(f"eps: {eps_list} is not a strictly decreasing "
+                         "list of two or more values")
+    snapshot_times = tuple(sorted(set(config.snapshot_times) | {config.T}))
+    return _children("eps", eps_list, lambda eps: dataclasses.replace(
+        config, model=dataclasses.replace(config.model, epsilon=eps),
+        snapshot_times=snapshot_times), jobs)
+
+
 def epsilon_continuation(config: RunConfig, eps_list, out_dir: str | None = None,
                          jobs: int = 1) -> dict:
     """Rerun one scenario along a strictly decreasing epsilon sequence and
     tabulate successive L1 differences of the final fields.  If a child
     does not succeed, the study's manifest ends as "child_failure" and
     StepFailure is raised for the first such child."""
-    eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 2:
-        raise ValueError("epsilon continuation needs at least two values")
-    if any(not 0 < e < 1 for e in eps_list):
-        raise ValueError("all epsilon values must lie in (0,1)")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("epsilon list must be strictly decreasing")
+    children = continuation_children(config, eps_list, jobs)
+    eps_list = [child.model.epsilon for child in children.values()]
     out_dir = out_dir or config.out_dir
-    snapshot_times = tuple(sorted(set(config.snapshot_times) | {config.T}))
-    children = _children("eps", eps_list, lambda eps: dataclasses.replace(
-        config, model=dataclasses.replace(config.model, epsilon=eps),
-        snapshot_times=snapshot_times))
     with recorded(out_dir, config, children=list(children),
                   eps_list=eps_list) as (manifest, files):
         results = _run_children(manifest, out_dir, children, jobs)
@@ -275,14 +298,29 @@ def epsilon_continuation(config: RunConfig, eps_list, out_dir: str | None = None
     return manifest
 
 
-def _mms_config_run(config: RunConfig, n: int, source) -> State:
-    grid = Grid(Domain((1.0,)), (n,))
+def _mms_config_run(config: RunConfig, grid: Grid, source,
+                    dt_max: float | None = None) -> State:
     xc = grid.centers(0)
     u0 = ScalarField(grid, mms.exact_u(xc, 0.0))
     v0 = ScalarField(grid, mms.exact_v(xc, 0.0))
     state = State(u=u0, v=v0)
     ctrl = config.step_control()
-    return run_until(state, config.T, config.model, ctrl, source=source)
+    return run_until(state, config.T, config.model, ctrl, source=source,
+                     dt_max=dt_max)
+
+
+def refinement_grids(n_list) -> list[Grid]:
+    """The unit-interval grids of `refinement_study`, one per size.  A
+    ValueError names "n" unless `n_list` is a doubling sequence at least two
+    long (Grid checks each size)."""
+    n_list = [int(n) for n in n_list]
+    if len(n_list) < 2 or any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n: {n_list} is not a doubling list of two or more "
+                         "sizes")
+    try:
+        return [Grid(Domain((1.0,)), (n,)) for n in n_list]
+    except ValueError as exc:
+        raise ValueError(f"n: {exc}") from None
 
 
 def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> dict:
@@ -290,9 +328,7 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
     grid sequence, temporal orders from fixed-grid step-size halving.
 
     The manifest is finalized by `recorded`, as in `run_scenario`."""
-    n_list = [int(n) for n in n_list]
-    if len(n_list) < 2 or any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be a doubling sequence of length >= 2")
+    grids = refinement_grids(n_list)
     out_dir = out_dir or config.out_dir
     with recorded(out_dir, config, children=[]) as (manifest, files):
         l = config.model.l
@@ -312,32 +348,24 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
             return source
 
         errors = []
-        for n in n_list:
-            grid = Grid(Domain((1.0,)), (n,))
-            final = _mms_config_run(config, n, source_for(grid))
+        for grid in grids:
+            final = _mms_config_run(config, grid, source_for(grid))
             xc = grid.centers(0)
             eu = lp_norm(ScalarField(grid, final.u.values - mms.exact_u(xc, config.T)), 2.0)
             ev = lp_norm(ScalarField(grid, final.v.values - mms.exact_v(xc, config.T)), 2.0)
-            errors.append((n, eu, ev))
+            errors.append((grid.shape[0], eu, ev))
         spatial_orders = []
         for (n0, eu0, ev0), (n1, eu1, ev1) in zip(errors, errors[1:]):
             spatial_orders.append((n1, math.log2(eu0 / eu1), math.log2(ev0 / ev1)))
 
         # Temporal self-convergence on a fixed coarse grid: field differences
         # between runs at dt and dt/2 cancel the spatial error exactly.
-        n_t = n_list[0]
-        grid_t = Grid(Domain((1.0,)), (n_t,))
+        grid_t = grids[0]
         src_t = source_for(grid_t)
         h = grid_t.h[0]
         dt0 = config.safety * h * h / 80.0  # safely below the forced-run CFL bound
         dts = [dt0, dt0 / 2.0, dt0 / 4.0]
-        finals = []
-        for dt in dts:
-            xc = grid_t.centers(0)
-            state = State(u=ScalarField(grid_t, mms.exact_u(xc, 0.0)),
-                          v=ScalarField(grid_t, mms.exact_v(xc, 0.0)))
-            finals.append(run_until(state, config.T, config.model,
-                                    config.step_control(), source=src_t, dt_max=dt))
+        finals = [_mms_config_run(config, grid_t, src_t, dt) for dt in dts]
         diffs = []
         for a, b in zip(finals, finals[1:]):
             d = np.sqrt(lp_norm(ScalarField(grid_t, a.u.values - b.u.values), 2.0) ** 2
@@ -367,24 +395,32 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
     return manifest
 
 
+def sweep_children(config: RunConfig, l_list, jobs: int = 1) -> dict:
+    """The {subdirectory: config} children of `l_sweep`, each recording the
+    L2 norm and the (4, 3) quotient its summary needs.  A ValueError names
+    "l" if `l_list` is empty (ModelParams checks each exponent), and names
+    "jobs" unless `jobs` >= 1."""
+    l_list = [float(l) for l in l_list]
+    if not l_list:
+        raise ValueError("l: the sweep needs at least one exponent")
+    p_list = tuple(sorted(set(config.p_list) | {2.0}))
+    q_alpha = config.q_alpha
+    if (4.0, 3.0) not in q_alpha:
+        q_alpha = ((4.0, 3.0),) + q_alpha
+    return _children("l", l_list, lambda l: dataclasses.replace(
+        config, model=dataclasses.replace(config.model, l=l),
+        p_list=p_list, q_alpha=q_alpha), jobs)
+
+
 def l_sweep(config: RunConfig, l_list, out_dir: str | None = None,
             jobs: int = 1) -> dict:
     """One scenario run per diffusion exponent; summary of the sup-in-time
     norms the boundedness statements control.  A child that fails still
     gets its summary row: "nan" cells (if it left no records) and its
     status; the study then ends as "child_failure"."""
-    l_list = [float(l) for l in l_list]
-    if not l_list:
-        raise ValueError("l sweep needs at least one exponent")
+    children = sweep_children(config, l_list, jobs)
+    l_list = [child.model.l for child in children.values()]
     out_dir = out_dir or config.out_dir
-
-    p_list = tuple(sorted(set(config.p_list) | {2.0}))
-    q_alpha = config.q_alpha
-    if (4.0, 3.0) not in q_alpha:
-        q_alpha = ((4.0, 3.0),) + q_alpha
-    children = _children("l", l_list, lambda l: dataclasses.replace(
-        config, model=dataclasses.replace(config.model, l=l),
-        p_list=p_list, q_alpha=q_alpha))
     with recorded(out_dir, config, children=list(children),
                   l_list=l_list) as (manifest, files):
         results = _run_children(manifest, out_dir, children, jobs)

@@ -37,6 +37,16 @@ class IneqReport:
     field_seed: int | None = None
 
 
+def _check_p(p: float) -> None:  # both inequalities hold for p >= 1
+    if not p >= 1.0:
+        raise ValueError(f"exponent p must be >= 1, got {p}")
+
+
+def _check_eta(eta: float) -> None:  # (6.4)'s Young weight
+    if not eta > 0.0:
+        raise ValueError(f"eta must be positive, got {eta}")
+
+
 def _check_positive_pair(phi: ScalarField, psi: ScalarField) -> None:
     if not float(phi.values.min()) > 0.0:
         raise PositivityViolation("phi must be strictly positive")
@@ -49,8 +59,7 @@ def check_ineq_61(phi: ScalarField, psi: ScalarField, p: float,
     """Interpolation bound: int phi^(p+1) psi against the dissipation bracket
     {int (phi/psi)|grad psi|^2 + int (psi/phi)|grad phi|^2 + int phi psi}
     times int phi^p."""
-    if p < 1.0:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    _check_p(p)
     _check_positive_pair(phi, psi)
     grid = phi.grid
     f, s = phi.values, psi.values
@@ -77,13 +86,11 @@ def check_ineq_64(phi: ScalarField, psi: ScalarField, p: float, eta,
     per eta in order.  The face pass and every eta-free integral are formed
     once for the whole sequence, so each report equals, to the bit, that of
     a call with its eta alone."""
-    if p < 1.0:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    _check_p(p)
     single = np.ndim(eta) == 0
     etas = (eta,) if single else tuple(eta)
     for e in etas:
-        if not e > 0.0:
-            raise ValueError(f"eta must be positive, got {e}")
+        _check_eta(e)
     _check_positive_pair(phi, psi)
     grid = phi.grid
     f, s = phi.values, psi.values

@@ -42,8 +42,8 @@ class ModelParams:
     face_mean: str = "arithmetic"
 
     def __post_init__(self) -> None:
-        if self.l < 1.0:
-            raise ValueError(f"l must be >= 1 (diffusion exponent), got {self.l}")
+        if not 1.0 <= self.l < np.inf:
+            raise ValueError(f"l must be finite and >= 1, got {self.l}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if self.b <= 0.0:

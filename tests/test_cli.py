@@ -134,11 +134,50 @@ def read_manifest(out_dir):
 
 STUDIES = ("sweep", "continuation", "refine")
 
+IMPOSSIBLE = [
+    ["--count", "0"],
+    ["--count", "-2"],
+    ["--p", "0.5"],
+    ["--p", "1,0.99"],
+    ["--eta", "0"],
+    ["--eta", "1,-0.5"],
+    ["sweep", "--l", "0.5,2"],
+    ["sweep", "--jobs", "0", "--l", "2"],
+    ["continuation", "--eps", "0.1,1"],
+    ["continuation", "--eps", "0.1,0,-0.1"],
+    ["continuation", "--jobs", "0", "--eps", "0.1,0.05"],
+    ["continuation", "--eps", "0.05,0.1"],
+    ["continuation", "--eps", "0.1,0.05,0.07"],
+    ["continuation", "--eps", "0.05"],
+    ["refine", "--n", "16,24"],
+    ["refine", "--n", "16,32,32"],
+    ["refine", "--n", "16"],
+    ["refine", "--n", "0,0"],
+    ["sweep", "--l", ""],
+    ["--p", "inf"],
+    ["--p", "1,inf"],
+    ["--eta", "inf"],
+    ["sweep", "--l", "2,inf"],
+    ["sweep", "--l", "inf"],
+    ["refine", "--n", "1,2"],
+]
+
+COLLIDING = [
+    ["--eta", "0.1,0.1000001"],
+    ["--eta", "1,2,1.0000001"],
+    ["--p", "1,1.0000001"],
+    ["sweep", "--l", "2,2.0000001"],
+    ["sweep", "--l", "2,3,2"],
+    ["continuation", "--eps", "0.1000001,0.1"],
+    ["--p", "1,1"],
+    ["--eta", "3,0.2,3"],
+]
+
 
 class TestIneq:
     @pytest.mark.parametrize("ps, etas", [
         ("1,2", "0.1,1,10"),
-        ("2.5,1", "3,0.2,3"),
+        ("2.5,1", "3,0.2,2"),
     ])
     def test_outputs_match_per_eta_loop(self, tmp_path, ps, etas):
         cfg = write_config_2d(tmp_path)
@@ -199,32 +238,7 @@ class TestIneq:
         assert manifest["files"] == ["manifest.json"]
 
     # cases that do not start with a study command are `ineq` options
-    @pytest.mark.parametrize("bad", [
-        ["--count", "0"],
-        ["--count", "-2"],
-        ["--p", "0.5"],
-        ["--p", "1,0.99"],
-        ["--eta", "0"],
-        ["--eta", "1,-0.5"],
-        ["sweep", "--l", "0.5,2"],
-        ["sweep", "--jobs", "0", "--l", "2"],
-        ["continuation", "--eps", "0.1,1"],
-        ["continuation", "--eps", "0.1,0,-0.1"],
-        ["continuation", "--jobs", "0", "--eps", "0.1,0.05"],
-        ["continuation", "--eps", "0.05,0.1"],
-        ["continuation", "--eps", "0.1,0.05,0.07"],
-        ["continuation", "--eps", "0.05"],
-        ["refine", "--n", "16,24"],
-        ["refine", "--n", "16,32,32"],
-        ["refine", "--n", "16"],
-        ["refine", "--n", "0,0"],
-        ["sweep", "--l", ""],
-        ["--p", "inf"],
-        ["--p", "1,inf"],
-        ["--eta", "inf"],
-        ["sweep", "--l", "2,inf"],
-        ["sweep", "--l", "inf"],
-    ])
+    @pytest.mark.parametrize("bad", IMPOSSIBLE)
     def test_impossible_arguments_rejected(self, tmp_path, capsys, bad):
         command, *opts = bad if bad[0] in STUDIES else ["ineq", *bad]
         cfg = write_config_2d(tmp_path)
@@ -235,18 +249,11 @@ class TestIneq:
         assert opts[0] in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad", [
-        ["--eta", "0.1,0.1000001"],
-        ["--eta", "1,2,1.0000001"],
-        ["--p", "1,1.0000001"],
-        ["sweep", "--l", "2,2.0000001"],
-        ["sweep", "--l", "2,3,2"],
-        ["continuation", "--eps", "0.1000001,0.1"],
-    ])
+    @pytest.mark.parametrize("bad", COLLIDING)
     def test_colliding_labels_rejected(self, tmp_path, capsys, bad):
-        # rows and fitted constants are named by the %g label, so two values
-        # sharing one would overwrite a constant; a study names each child's
-        # directory by it, so there even equal values collide
+        # rows, fitted constants and each study child's directory are named
+        # by the %g label, so two values sharing one, equal ones included,
+        # would overwrite a constant or share a directory
         command, *opts = bad if bad[0] in STUDIES else ["ineq", *bad]
         cfg = write_config_2d(tmp_path)
         out = tmp_path / "out"
@@ -255,6 +262,48 @@ class TestIneq:
         assert exc.value.code == 2
         assert "share the label" in capsys.readouterr().err
         assert not out.exists()
+
+
+# per study: the library function, the option that holds its values and
+# how one value parses (float, not _floats: a non-finite value reaches it)
+LIBRARY = {
+    "sweep": (experiments.l_sweep, "--l", float),
+    "continuation": (experiments.epsilon_continuation, "--eps", float),
+    "refine": (experiments.refinement_study, "--n", int),
+}
+
+
+@pytest.mark.parametrize("bad", [bad for bad in IMPOSSIBLE + COLLIDING
+                                 if bad[0] in STUDIES])
+def test_library_rejects_what_cli_rejects(tmp_path, bad):
+    # the CLI states no rule of its own: a study argument it rejects, the
+    # study rejects too, before its output directory exists
+    command, *opts = bad
+    study, option, parse = LIBRARY[command]
+    given = dict(zip(opts[::2], opts[1::2]))
+    values = [parse(x) for x in given.pop(option).split(",") if x.strip()]
+    jobs = {"jobs": int(given.pop("--jobs"))} if "--jobs" in given else {}
+    assert not given
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        study(load_config(write_config_2d(tmp_path)), values, str(out), **jobs)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--l", "2"]])
+def test_config_error_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.cfg"
+    path.write_text(CONFIG.replace("model.l = 2", "model.l = 0.5"))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], str(path), "--out", str(out)] + command[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] \
+        == [err.splitlines()[-1]]
+    assert err.splitlines()[-1].startswith(f"taxisim {command[0]}: error: ")
+    assert "bad.cfg: model.l must be finite and >= 1" in err
+    assert not out.exists()
 
 
 # per command: its extra arguments and a name its finalized block calls

@@ -180,6 +180,20 @@ seed = 42
         cfg = load_config(path)
         assert cfg.shape == (64,)
 
+    @pytest.mark.parametrize("line", [
+        "time.T = nan",
+        "init.a = many",
+        "diagnostics.q_alpha = 4:x",
+    ])
+    def test_load_config_value_error_names_file(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        path = tmp_path / "my.cfg"
+        path.write_text("".join(f"{ln}\n" for ln in MINIMAL.splitlines()
+                                if not ln.startswith(key + " ")) + line)
+        with pytest.raises(ConfigError,
+                           match=rf"my\.cfg: line \d+: cannot parse {key}"):
+            load_config(path)
+
     def test_load_config_error_names_file(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(MINIMAL + "model.alpha = 1\n")
