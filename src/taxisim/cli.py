@@ -20,8 +20,8 @@ from .experiments import (
     run_scenario,
     sweep_children,
 )
-from .inequalities import _check_eta, _check_p
-from .inequalities import check_ineq_61, check_ineq_64, cosine_family
+from .inequalities import (check_ineq_61, check_ineq_64, check_lists,
+                           cosine_family)
 
 
 def _floats(raw: str) -> list[float]:
@@ -53,11 +53,9 @@ def _check(cfg, args) -> None:
     elif args.command == "ineq":
         if args.count < 1:
             raise ValueError(f"count: {args.count} is not >= 1")
-        for name, values, rule in (("p", args.p, _check_p),
-                                   ("eta", args.eta, _check_eta)):
+        check_lists(args.p, args.eta)
+        for name, values in (("p", args.p), ("eta", args.eta)):
             try:
-                for x in values:
-                    rule(x)
                 labels(values, "rows and fitted constants")
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
@@ -111,7 +109,7 @@ def main(argv=None) -> int:
     usage = sub.choices[args.command]
     try:
         cfg = _load(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError names the file
         usage.error(str(exc))
     try:
         _check(cfg, args)
@@ -138,9 +136,7 @@ def main(argv=None) -> int:
         man = l_sweep(cfg, args.l, jobs=args.jobs)
         print(f"sweep finished: out={cfg.out_dir}")
         return 0 if man["status"] == "success" else 1
-    if args.command == "ineq":
-        return _run_ineq(cfg, args)
-    return 2
+    return _run_ineq(cfg, args)
 
 
 def _run_ineq(cfg, args) -> int:

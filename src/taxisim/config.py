@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field, replace, asdict
 
 from .diagnostics import _check_exponents
-from .grid import Domain, Grid
+from .grid import Domain, Grid, _check_dim, _check_lp_exponent
 from .model import ModelParams
 from .presets import check_preset, preset_defaults
 from .stepper import StepControl
@@ -166,8 +166,7 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
         return check(f"{section}.", cls, **fields)
 
     dim = get("domain.dim", 1)
-    if dim not in (1, 2):
-        raise ConfigError(f"{name}: domain.dim must be 1 or 2, got {dim}")
+    check("domain.", _check_dim, dim)
     lx = get("domain.lx", 1.0)
     ly = get("domain.ly", lx)
     nx = get("grid.nx")
@@ -189,8 +188,8 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
     check("init.", check_preset, preset_params, dim)
 
     p_list = get("diagnostics.p_list", (2.0, 4.0))
-    if any(p < 1 for p in p_list):
-        raise ConfigError(f"{name}: diagnostics.p_list entries must be >= 1")
+    for p in p_list:
+        check("diagnostics.p_list: ", _check_lp_exponent, p)
     q_alpha = get("diagnostics.q_alpha", ((4.0, 3.0), (6.0, 5.0)))
     for qa in q_alpha:
         check("diagnostics.q_alpha: ", _check_exponents, *qa)

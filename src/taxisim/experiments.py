@@ -110,10 +110,6 @@ def recorded(out_dir, config: RunConfig, **fields):
         write()
 
 
-def _tlabel(t: float) -> str:
-    return f"{t:g}"
-
-
 def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
     """Run one simulation, sampling a FunctionalRecord every sample interval
     and writing series.csv, snapshots, optional PGM rasters, and a manifest
@@ -133,11 +129,11 @@ def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
 
         def emit_snapshot(s: State) -> None:
             for name, f in (("u", s.u), ("v", s.v)):
-                fname = f"{name}_{_tlabel(s.t)}.field"
+                fname = f"{name}_{s.t:g}.field"
                 write_field(os.path.join(out_dir, fname), f)
                 files.append(fname)
                 if config.images:
-                    pname = f"{name}_{_tlabel(s.t)}.pgm"
+                    pname = f"{name}_{s.t:g}.pgm"
                     lo, hi = write_pgm(os.path.join(out_dir, pname), f)
                     manifest.setdefault("images", {})[pname] = {"min": lo,
                                                                 "max": hi}
@@ -301,12 +297,10 @@ def epsilon_continuation(config: RunConfig, eps_list, out_dir: str | None = None
 def _mms_config_run(config: RunConfig, grid: Grid, source,
                     dt_max: float | None = None) -> State:
     xc = grid.centers(0)
-    u0 = ScalarField(grid, mms.exact_u(xc, 0.0))
-    v0 = ScalarField(grid, mms.exact_v(xc, 0.0))
-    state = State(u=u0, v=v0)
-    ctrl = config.step_control()
-    return run_until(state, config.T, config.model, ctrl, source=source,
-                     dt_max=dt_max)
+    state = State(u=ScalarField(grid, mms.exact_u(xc, 0.0)),
+                  v=ScalarField(grid, mms.exact_v(xc, 0.0)))
+    return run_until(state, config.T, config.model, config.step_control(),
+                     source=source, dt_max=dt_max)
 
 
 def refinement_grids(n_list) -> list[Grid]:
@@ -340,12 +334,8 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
         fu, fv = mms.build_sources(l)
 
         def source_for(grid: Grid):
-            xc = grid.centers(0)
-
-            def source(t, _grid):
-                return fu(xc, t), fv(xc, t)
-
-            return source
+            x = mms.factors(grid.centers(0))  # formed once per grid
+            return lambda t, _grid: (fu(x, t), fv(x, t))
 
         errors = []
         for grid in grids:
@@ -376,12 +366,10 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
 
         with open(os.path.join(out_dir, "refine.csv"), "w") as fh:
             fh.write("n,err_u_l2,err_v_l2,order_u,order_v\n")
-            for i, (n, eu, ev) in enumerate(errors):
-                if i == 0:
-                    fh.write(f"{n},{eu:.17g},{ev:.17g},,\n")
-                else:
-                    _, ou, ov = spatial_orders[i - 1]
-                    fh.write(f"{n},{eu:.17g},{ev:.17g},{ou:.17g},{ov:.17g}\n")
+            orders = [",,"] + [f",{ou:.17g},{ov:.17g}"
+                               for _, ou, ov in spatial_orders]
+            for (n, eu, ev), tail in zip(errors, orders):
+                fh.write(f"{n},{eu:.17g},{ev:.17g}{tail}\n")
         files.append("refine.csv")
         with open(os.path.join(out_dir, "temporal.csv"), "w") as fh:
             fh.write("dt,diff_l2,order\n")

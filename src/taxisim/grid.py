@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+def _check_dim(dim: int) -> None:
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
+
+
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned interval (1D) or rectangle (2D)."""
@@ -38,8 +43,7 @@ class Domain:
 
     def __post_init__(self) -> None:
         lengths = tuple(float(L) for L in self.lengths)
-        if len(lengths) not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {len(lengths)}")
+        _check_dim(len(lengths))
         if any(L <= 0 for L in lengths):
             raise ValueError(f"lengths must be positive, got {lengths}")
         object.__setattr__(self, "lengths", lengths)
@@ -164,12 +168,16 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, _laplacian_array(f.values, f.grid.h), copy=False)
 
 
+def _check_lp_exponent(p: float) -> None:
+    if not p >= 1:
+        raise ValueError(f"L^p norm needs p >= 1 or p = inf, got {p}")
+
+
 def lp_norm(f: ScalarField, p: float) -> float:
     """L^p norm via midpoint quadrature; max norm for p = inf."""
+    _check_lp_exponent(p)
     if p == math.inf:
         return float(np.max(np.abs(f.values)))
-    if p < 1:
-        raise ValueError(f"L^p norm needs p >= 1 or p = inf, got {p}")
     return float(np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p)
 
 
@@ -283,12 +291,9 @@ def write_field(path, f: ScalarField) -> None:
 
 def read_field(path) -> ScalarField:
     with open(path, "rb") as fh:
-        header = b""
-        while not header.endswith(b"\n"):
-            c = fh.read(1)
-            if not c:
-                raise ValueError(f"truncated field header in {path}")
-            header += c
+        header = fh.readline()
+        if not header.endswith(b"\n"):
+            raise ValueError(f"truncated field header in {path}")
         parts = header.decode("ascii").split()
         dim = int(parts[0])
         if dim not in (1, 2) or len(parts) != 1 + 2 * dim:

@@ -23,6 +23,7 @@ __all__ = [
     "IneqReport",
     "check_ineq_61",
     "check_ineq_64",
+    "check_lists",
     "fit_constant",
     "cosine_family",
 ]
@@ -38,13 +39,26 @@ class IneqReport:
 
 
 def _check_p(p: float) -> None:  # both inequalities hold for p >= 1
-    if not p >= 1.0:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"exponent p must be finite and >= 1, got {p}")
 
 
 def _check_eta(eta: float) -> None:  # (6.4)'s Young weight
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+
+
+def check_lists(ps, etas) -> None:
+    """The p and eta lists of a sweep of checks: neither empty, each p >= 1
+    and each eta > 0.  A ValueError starts with `p: ` or `eta: `."""
+    for name, values, rule in (("p", ps, _check_p), ("eta", etas, _check_eta)):
+        try:
+            if len(values) == 0:
+                raise ValueError("the list is empty")
+            for x in values:
+                rule(x)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
 
 def _check_positive_pair(phi: ScalarField, psi: ScalarField) -> None:
@@ -82,15 +96,13 @@ def check_ineq_64(phi: ScalarField, psi: ScalarField, p: float, eta,
     gradient quotient of psi, and a mass term.  Ratios are reported with the
     inequality's unquantified constant set to 1.
 
-    `eta` is a float, giving one IneqReport, or a sequence, giving one report
-    per eta in order.  The face pass and every eta-free integral are formed
-    once for the whole sequence, so each report equals, to the bit, that of
-    a call with its eta alone."""
-    _check_p(p)
+    `eta` is a float, giving one IneqReport, or a non-empty sequence, giving
+    one report per eta in order.  The face pass and every eta-free integral
+    are formed once for the whole sequence, so each report equals, to the
+    bit, that of a call with its eta alone."""
     single = np.ndim(eta) == 0
     etas = (eta,) if single else tuple(eta)
-    for e in etas:
-        _check_eta(e)
+    check_lists((p,), etas)
     _check_positive_pair(phi, psi)
     grid = phi.grid
     f, s = phi.values, psi.values

@@ -7,29 +7,18 @@ The exact pair
 
 is Neumann-compatible on (0,1), strictly positive, and keeps both mobilities
 bounded away from zero, so the forced runs measure scheme order rather than
-degeneracy handling.  Source terms are derived symbolically with sympy; an
-independent arbitrary-precision finite-difference oracle (mpmath) re-derives
-the strong-form residual at random points before any study is trusted.
-sympy and mpmath are imported by the functions that use them, so importing
-this module (and every command but `refine`) costs only numpy.
+degeneracy handling.  The source terms are closed-form numpy (no sympy),
+checked by an independent arbitrary-precision finite-difference oracle
+(mpmath, imported only there) that re-derives the strong-form residual at
+random points before any study is trusted.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-__all__ = ["exact_u", "exact_v", "build_sources", "residual_check"]
-
-
-def _symbolic_pair():
-    import sympy as sp
-
-    x, t = sp.symbols("x t", real=True)
-    u = 2 + sp.cos(sp.pi * x) * sp.exp(-t)
-    v = 2 + sp.cos(sp.pi * x) * sp.exp(-t) / 2
-    return x, t, u, v
+__all__ = ["exact_u", "exact_v", "factors", "build_sources", "residual_check"]
 
 
 def exact_u(x, t):
@@ -40,26 +29,43 @@ def exact_v(x, t):
     return 2.0 + np.cos(np.pi * x) * np.exp(-t) / 2.0
 
 
-@functools.lru_cache(maxsize=None)
-def build_sources(l: float):
-    """Numpy-callable forcing (f_u(x,t), f_v(x,t)) that makes the exact pair
-    solve the forced system for exponent l."""
-    import sympy as sp
+def factors(x) -> tuple:
+    """(cos(pi x), sin(pi x)^2): the x-only factors of the sources at x."""
+    return np.cos(np.pi * x), np.sin(np.pi * x) ** 2
 
-    x, t, u, v = _symbolic_pair()
-    fu = (u.diff(t)
-          - (u ** (l - 1) * v * u.diff(x)).diff(x)
-          + (u ** l * v * v.diff(x)).diff(x)
-          - u * v)
-    fv = v.diff(t) - v.diff(x, 2) + u * v
-    return (sp.lambdify((x, t), fu, modules="numpy", cse=True),
-            sp.lambdify((x, t), fv, modules="numpy", cse=True))
+
+def build_sources(l: float):
+    """Forcing (f_u(x,t), f_v(x,t)) that makes the exact pair solve the
+    forced system for exponent l; `x` is a position (scalar or array) or
+    its `factors`, which a caller on a fixed grid forms once.  With
+    h = cos(pi x) e^{-t} / 2 (u* = 2 + 2h, v* = 2 + h) and g = u*_x^2:
+    f_u = u*^(l-2) [g v* (1 + l h) + u* h (g/2 - 2 pi^2 v* h)] - 2h - u* v*
+    and f_v = (pi^2 - 1) h + u* v*."""
+    pi2 = math.pi ** 2
+
+    def f_u(x, t):
+        c, s2 = x if isinstance(x, tuple) else factors(x)
+        e = math.exp(-t)
+        h = c * (0.5 * e)
+        v = h + 2.0
+        u = h + v
+        g = s2 * (pi2 * e * e)
+        bracket = g * v * (l * h + 1.0) + u * h * (0.5 * g - 2.0 * pi2 * v * h)
+        return u ** (l - 2.0) * bracket - 2.0 * h - u * v
+
+    def f_v(x, t):
+        c = x[0] if isinstance(x, tuple) else np.cos(np.pi * x)
+        h = c * (0.5 * math.exp(-t))
+        v = h + 2.0
+        return (pi2 - 1.0) * h + (h + v) * v
+
+    return f_u, f_v
 
 
 def residual_check(l: float, npoints: int = 10, seed: int = 0) -> float:
     """Max strong-form residual of the forced system at random (x,t) points,
     with every derivative taken by high-precision numerical differentiation
-    (independent of the symbolic route that produced the sources)."""
+    (independent of the closed form that produced the sources)."""
     import mpmath
 
     fu, fv = build_sources(l)

@@ -72,16 +72,11 @@ def regularize_initial(u0: ScalarField, v0: ScalarField,
     """Shift u0 by epsilon; reject data outside u0 >= 0, v0 > 0."""
     if u0.grid is not v0.grid and u0.grid != v0.grid:
         raise InvalidInitialData("u0 and v0 must share one grid")
-    bad_u = np.argwhere(u0.values < 0.0)
-    if bad_u.size:
-        cell = tuple(int(i) for i in bad_u[0])
-        raise InvalidInitialData(
-            f"u0 negative at cell {cell}: {u0.values[cell]!r}")
-    bad_v = np.argwhere(v0.values <= 0.0)
-    if bad_v.size:
-        cell = tuple(int(i) for i in bad_v[0])
-        raise InvalidInitialData(
-            f"v0 nonpositive at cell {cell}: {v0.values[cell]!r}")
+    for what, a, bad in (("u0 negative", u0.values, u0.values < 0.0),
+                         ("v0 nonpositive", v0.values, v0.values <= 0.0)):
+        if bad.any():
+            cell = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise InvalidInitialData(f"{what} at cell {cell}: {a[cell]!r}")
     u = ScalarField(u0.grid, u0.values + params.epsilon, copy=False)
     return State(u=u, v=v0.copy(), t=0.0, cumulative_uv=0.0)
 

@@ -50,8 +50,7 @@ def step(state: State, params: ModelParams, ctrl: StepControl,
          dt_max: float | None = None, source=None) -> State:
     """One accepted step; dt starts at the CFL bound and halves on rejection."""
     grid = state.grid
-    u = state.u.values
-    v = state.v.values
+    u, v = state.u.values, state.v.values
     dt = stability_dt(state, params, ctrl.safety)
     if dt_max is not None:
         dt = min(dt, dt_max)

@@ -7,7 +7,8 @@ import pytest
 from taxisim import cli, experiments
 from taxisim.cli import _floats, main
 from taxisim.config import load_config
-from taxisim.inequalities import check_ineq_61, check_ineq_64, cosine_family
+from taxisim.inequalities import (check_ineq_61, check_ineq_64, check_lists,
+                                  cosine_family)
 
 CONFIG = """
 grid.nx = 32
@@ -160,6 +161,8 @@ IMPOSSIBLE = [
     ["sweep", "--l", "2,inf"],
     ["sweep", "--l", "inf"],
     ["refine", "--n", "1,2"],
+    ["--p", ""],
+    ["--eta", ""],
 ]
 
 COLLIDING = [
@@ -274,10 +277,20 @@ LIBRARY = {
 
 
 @pytest.mark.parametrize("bad", [bad for bad in IMPOSSIBLE + COLLIDING
-                                 if bad[0] in STUDIES])
+                                 if bad[0] in STUDIES]
+                         + [bad for bad in IMPOSSIBLE
+                            if bad[0] in ("--p", "--eta")])
 def test_library_rejects_what_cli_rejects(tmp_path, bad):
     # the CLI states no rule of its own: a study argument it rejects, the
-    # study rejects too, before its output directory exists
+    # study rejects too, before its output directory exists; an ineq list
+    # it rejects, `inequalities.check_lists` rejects (the other list valid)
+    if bad[0] in ("--p", "--eta"):
+        option, raw = bad
+        lists = {"--p": [1.0], "--eta": [1.0],
+                 option: [float(x) for x in raw.split(",") if x.strip()]}
+        with pytest.raises(ValueError, match=f"^{option[2:]}: "):
+            check_lists(lists["--p"], lists["--eta"])
+        return
     command, *opts = bad
     study, option, parse = LIBRARY[command]
     given = dict(zip(opts[::2], opts[1::2]))
@@ -303,6 +316,23 @@ def test_config_error_is_usage_error(tmp_path, capsys, command):
         == [err.splitlines()[-1]]
     assert err.splitlines()[-1].startswith(f"taxisim {command[0]}: error: ")
     assert "bad.cfg: model.l must be finite and >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["refine", "--n", "16,32"]])
+@pytest.mark.parametrize("name", ["missing.cfg", "a_directory"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, command, name):
+    (tmp_path / "a_directory").mkdir()
+    path = tmp_path / name
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], str(path), "--out", str(out)] + command[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] \
+        == [err.splitlines()[-1]]
+    assert err.splitlines()[-1].startswith(f"taxisim {command[0]}: error: ")
+    assert str(path) in err
     assert not out.exists()
 
 

@@ -103,6 +103,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="q_alpha"):
             parse_config(MINIMAL + "diagnostics.q_alpha = 2:1\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("domain.dim = 3", "domain.dim must be 1 or 2, got 3"),
+        ("domain.dim = 0", "domain.dim must be 1 or 2, got 0"),
+        ("diagnostics.p_list = 2,0.5",
+         "diagnostics.p_list: L^p norm needs p >= 1 or p = inf, got 0.5"),
+    ])
+    def test_grid_rules_name_file_and_key(self, line, message):
+        # grid states both rules (Domain, lp_norm); config calls them
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + line + "\n", name="x.cfg")
+        assert str(exc.value) == f"x.cfg: {message}"
+
     def test_noise_amp_bound(self):
         text = MINIMAL.replace("init.preset = constant",
                                "init.preset = perturbed_front")

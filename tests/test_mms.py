@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import taxisim
-from taxisim.mms import build_sources, exact_u, exact_v, residual_check
+from taxisim.mms import (build_sources, exact_u, exact_v, factors,
+                         residual_check)
 
 
 class TestExactPair:
@@ -59,8 +60,45 @@ class TestSources:
             == residual_check(2.0, npoints=3, seed=1)
 
 
+def sympy_sources(l):
+    """The forcing derived symbolically, as the closed form's oracle."""
+    sp = pytest.importorskip("sympy")
+    x, t = sp.symbols("x t", real=True)
+    u = 2 + sp.cos(sp.pi * x) * sp.exp(-t)
+    v = 2 + sp.cos(sp.pi * x) * sp.exp(-t) / 2
+    fu = (u.diff(t)
+          - (u ** (l - 1) * v * u.diff(x)).diff(x)
+          + (u ** l * v * v.diff(x)).diff(x)
+          - u * v)
+    fv = v.diff(t) - v.diff(x, 2) + u * v
+    return (sp.lambdify((x, t), fu, modules="numpy", cse=True),
+            sp.lambdify((x, t), fv, modules="numpy", cse=True))
+
+
+class TestClosedFormMatchesSympy:
+    @pytest.mark.parametrize("l", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+    def test_matches_symbolic_derivation(self, l):
+        oracle = sympy_sources(l)
+        closed = build_sources(l)
+        for t in (0.0, 5e-4, 0.7):
+            for n in (32, 128):
+                x = (np.arange(n) + 0.5) / n
+                for f, ref in zip(closed, oracle):
+                    want = ref(x, t)
+                    tol = 1e-13 * np.abs(want).max()
+                    # from positions and from the per-grid factors alike
+                    for arg in (x, factors(x)):
+                        got = f(arg, t)
+                        assert got.shape == x.shape
+                        assert np.abs(got - want).max() <= tol
+            for f, ref in zip(closed, oracle):
+                want = float(ref(0.3, t))
+                assert abs(float(f(0.3, t)) - want) <= 1e-13 * abs(want)
+
+
 class TestLazyImports:
-    """sympy, mpmath and the process pool load only where they are used."""
+    """mpmath and the process pool load only where they are used; sympy
+    never does."""
 
     HEAVY = ("sympy", "mpmath", "concurrent.futures.process")
 
@@ -78,7 +116,14 @@ class TestLazyImports:
     def test_cli_import_is_light(self):
         assert self.loaded_after("import taxisim.cli") == set()
 
-    def test_building_sources_loads_sympy(self):
+    def test_refine_does_not_load_sympy(self, tmp_path):
+        cfg = ("grid.nx = 16\nmodel.l = 2\nmodel.epsilon = 0.01\n"
+               "time.T = 0.001\ninit.preset = constant\n")
         loaded = self.loaded_after(
-            "import taxisim.mms\ntaxisim.mms.build_sources(2.0)")
-        assert "sympy" in loaded
+            "import taxisim.mms\n"
+            "from taxisim.config import parse_config\n"
+            "from taxisim.experiments import refinement_study\n"
+            "taxisim.mms.build_sources(2.0)\n"
+            f"refinement_study(parse_config({cfg!r}), [16, 32], "
+            f"{str(tmp_path / 'out')!r})")
+        assert "mpmath" in loaded and "sympy" not in loaded
