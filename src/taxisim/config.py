@@ -215,8 +215,13 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r") as fh:
-        return parse_config(fh.read(), name=str(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                              f"{exc.start}") from None
+    return parse_config(text, name=str(path))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

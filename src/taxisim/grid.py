@@ -112,17 +112,23 @@ class Grid:
                                 indexing="ij"))
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 class ScalarField:
     """One float64 value per cell, row-major over axes."""
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values, copy: bool = True):
-        a = np.array(values, dtype=np.float64, copy=copy)
-        if a.shape != grid.shape:
-            a = a.reshape(grid.shape)
+        # hot path: a float64 ndarray of the grid's shape is kept as it is
+        if (copy or type(values) is not np.ndarray
+                or values.dtype is not _FLOAT64 or values.shape != grid.shape):
+            values = np.array(values, dtype=np.float64, copy=copy)
+            if values.shape != grid.shape:
+                values = values.reshape(grid.shape)
         self.grid = grid
-        self.values = a
+        self.values = values
 
     @classmethod
     def full(cls, grid: Grid, value: float) -> "ScalarField":
@@ -202,9 +208,8 @@ def face_quadrature(grid: Grid, axis: int) -> np.ndarray:
 
 class WorkArrays(NamedTuple):
     """Work arrays of one grid: seven rows of one cell field each,
-    overwritten by every step (`model.stability_dt`, `model.rhs_arrays`),
-    every `face_sums` call and every 2D `inequalities.cosine_family` on that
-    grid.
+    overwritten by every step (in `model.rhs_arrays`), every `face_sums`
+    call and every 2D `inequalities.cosine_family` on that grid.
 
     Face passes run over flattened cells, where the faces of an axis of
     stride s join flat cells k and k + s: each pass is one contiguous

@@ -100,29 +100,33 @@ def _coefficients(u: np.ndarray, v: np.ndarray, params: ModelParams,
 
 
 def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
-               source=None) -> tuple[np.ndarray, np.ndarray]:
+               source=None) -> tuple[np.ndarray, tuple[float, float, float]]:
     """Array-level right-hand side; `source` is an optional (f_u, f_v) pair.
 
+    Returns a fresh ``(2, *grid.shape)`` block of du and dv, and the maxima
+    `stability_dt` takes: of u^(l-1) v, u^l v and |face gradient of v|.
     Per axis the face differences, face means and the two fluxes divided by
     h are each formed once, over flattened cells in the grid's work arrays
-    (see `WorkArrays`).  The returned arrays are freshly allocated; u*v is
-    left in the work arrays' `uv`.
+    (see `WorkArrays`); u*v is left in their `uv` row.
     """
     work = work_arrays(grid)
     coef_d, coef_t = _coefficients(u, v, params, work)
     harmonic = params.face_mean == "harmonic"
-    du = np.zeros(u.shape)
-    dv = np.zeros(v.shape)
+    du, dv = fdu, fdv = duv = np.zeros((2, *grid.shape))
     r = np.multiply(u, v, out=work.uv)
-    fdu, fdv = du, dv
     if grid.dim > 1:
         u, v, coef_d, coef_t, fdu, fdv = (
             a.reshape(-1) for a in (u, v, coef_d, coef_t, du, dv))
+    gv_max = 0.0
     for ha, lo, hi, junk, _, (gu, gv, flux, den, *_) in work.axes:
         np.subtract(u[hi], u[lo], out=gu)
         gu /= ha
         np.subtract(v[hi], v[lo], out=gv)
         gv /= ha
+        if junk is not None:
+            gv[junk] = 0.0
+        # max|d| / h is max|d / h| bit for bit: rounding is monotone and odd
+        gv_max = max(gv_max, gv.max(), -gv.min())
         d0, d1 = coef_d[lo], coef_d[hi]
         t0, t1 = coef_t[lo], coef_t[hi]
         # flux = mean(coef_d) * gu - mean(coef_t) * gv; gu then holds the
@@ -147,7 +151,6 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
         gv /= ha
         if junk is not None:
             flux[junk] = 0.0
-            gv[junk] = 0.0
         fdu[lo] += flux
         fdu[hi] -= flux
         fdv[lo] += gv
@@ -157,31 +160,18 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
     if source is not None:
         du += source[0]
         dv += source[1]
-    return du, dv
+    return duv, (float(coef_d.max()), float(coef_t.max()), float(gv_max))
 
 
-def stability_dt(state: State, params: ModelParams,
+def stability_dt(grid: Grid, maxima: tuple[float, float, float],
                  safety: float = 0.4) -> float:
     """Explicit diffusion step bound dt <= safety * h^2 / (2 * dim * Dmax).
 
     Dmax majorizes the unit nutrient diffusivity, the degenerate mobility
     u^(l-1) v, and the taxis mobility u^l v scaled by the largest nutrient
-    face gradient.
+    face gradient, from the three `maxima` that `rhs_arrays` returns.
     """
-    v = state.v.values
-    grid = state.grid
-    work = work_arrays(grid)
-    coef_d, coef_t = _coefficients(state.u.values, v, params, work)
-    if grid.dim > 1:
-        v = v.reshape(-1)
-    gv_max = 0.0
-    for ha, lo, hi, junk, _, (diff, *_) in work.axes:
-        np.subtract(v[hi], v[lo], out=diff)
-        if junk is not None:
-            diff[junk] = 0.0
-        g = np.abs(diff, out=diff).max() / ha
-        if g > gv_max:
-            gv_max = g
-    dmax = max(1.0, float(coef_d.max()), float(coef_t.max()) * gv_max)
+    d, t, g = maxima
+    dmax = max(1.0, d, t * g)
     hmin = min(grid.h)
     return safety * hmin * hmin / (2.0 * grid.dim * dmax)

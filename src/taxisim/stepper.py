@@ -51,25 +51,24 @@ def step(state: State, params: ModelParams, ctrl: StepControl,
     """One accepted step; dt starts at the CFL bound and halves on rejection."""
     grid = state.grid
     u, v = state.u.values, state.v.values
-    dt = stability_dt(state, params, ctrl.safety)
+    src = source(state.t, grid) if source is not None else None
+    duv, maxima = rhs_arrays(u, v, grid, params, src)
+    dt = stability_dt(grid, maxima, ctrl.safety)
     if dt_max is not None:
         dt = min(dt, dt_max)
-    src = source(state.t, grid) if source is not None else None
-    du, dv = rhs_arrays(u, v, grid, params, src)
     # consumption rate, independent of dt, from the u*v rhs_arrays left
     uv_sum = float(work_arrays(grid).uv.sum())
 
     for _ in range(ctrl.max_halvings + 1):
         if dt < ctrl.dt_min:
             raise StepFailure(f"step size {dt:.3e} fell below dt_min", state)
-        un = du * dt  # u + dt * du, bit for bit, in one new array
-        un += u
-        vn = dv * dt
-        vn += v
-        if _acceptable(un) and _acceptable(vn):
+        new = duv * dt  # (u, v) + dt * (du, dv), bit for bit, in one block
+        new[0] += u
+        new[1] += v
+        if _acceptable(new):
             consumed = dt * uv_sum * grid.cell_volume
-            return State(u=ScalarField(grid, un, copy=False),
-                         v=ScalarField(grid, vn, copy=False),
+            return State(u=ScalarField(grid, new[0], copy=False),
+                         v=ScalarField(grid, new[1], copy=False),
                          t=state.t + dt,
                          cumulative_uv=state.cumulative_uv + consumed)
         dt *= 0.5

@@ -336,6 +336,22 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys, command, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["refine", "--n", "16,32"]])
+def test_non_utf8_config_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bin.cfg"
+    path.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], str(path), "--out", str(out)] + command[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] \
+        == [err.splitlines()[-1]]
+    assert err.splitlines()[-1].startswith(
+        f"taxisim {command[0]}: error: {path}: not UTF-8 text")
+    assert not out.exists()
+
+
 # per command: its extra arguments and a name its finalized block calls
 LIFECYCLE = {
     "run": ([], (experiments, "full_record")),

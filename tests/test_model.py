@@ -84,7 +84,7 @@ class TestRhs:
     def test_constants(self):
         g = grid2d(8)
         st = State(u=ScalarField.full(g, 2.0), v=ScalarField.full(g, 3.0))
-        du, dv = rhs_arrays(st.u.values, st.v.values, g,
+        (du, dv), _ = rhs_arrays(st.u.values, st.v.values, g,
                             ModelParams(l=2.0, epsilon=0.01))
         np.testing.assert_allclose(du, 6.0, atol=1e-14)
         np.testing.assert_allclose(dv, -6.0, atol=1e-14)
@@ -97,7 +97,7 @@ class TestRhs:
         u = 1.0 + np.exp(-((x - 0.5) ** 2) / 0.02)
         st = State(u=ScalarField(g, u), v=ScalarField.full(g, 1.0))
         params = ModelParams(l=2.0, epsilon=0.01)
-        du, dv = rhs_arrays(st.u.values, st.v.values, g, params)
+        (du, dv), _ = rhs_arrays(st.u.values, st.v.values, g, params)
 
         h = g.h[0]
         n = g.shape[0]
@@ -116,7 +116,7 @@ class TestRhs:
         for seed in range(100):
             g = grid2d(7) if seed % 2 else grid1d(13)
             st = random_state(g, seed)
-            du, dv = rhs_arrays(st.u.values, st.v.values, g, params)
+            (du, dv), _ = rhs_arrays(st.u.values, st.v.values, g, params)
             total = integrate(ScalarField(g, du + dv))
             assert abs(total) < 1e-12
 
@@ -124,7 +124,7 @@ class TestRhs:
         g = grid1d(20)
         st = random_state(g, 3)
         st = State(u=st.u, v=ScalarField.full(g, 1.0))
-        du, _ = rhs_arrays(st.u.values, st.v.values, g,
+        (du, _), _ = rhs_arrays(st.u.values, st.v.values, g,
                            ModelParams(l=1.0, epsilon=0.01))
         expected = laplacian(st.u).values + st.u.values
         np.testing.assert_allclose(du, expected, atol=1e-12)
@@ -134,7 +134,7 @@ class TestRhs:
         g = grid1d(20)
         st = random_state(g, 5)
         stf = State(u=st.u, v=ScalarField.full(g, 2.0))
-        du, _ = rhs_arrays(stf.u.values, stf.v.values, g,
+        (du, _), _ = rhs_arrays(stf.u.values, stf.v.values, g,
                            ModelParams(l=1.0, epsilon=0.01))
         expected = 2.0 * (laplacian(st.u).values + st.u.values)
         np.testing.assert_allclose(du, expected, atol=1e-12)
@@ -143,17 +143,17 @@ class TestRhs:
         g = grid2d(10)
         st = random_state(g, 9)
         params = ModelParams(l=2.0, epsilon=0.01)
-        du, dv = rhs_arrays(st.u.values, st.v.values, g, params)
+        (du, dv), _ = rhs_arrays(st.u.values, st.v.values, g, params)
         st_t = State(u=ScalarField(g, st.u.values.T),
                      v=ScalarField(g, st.v.values.T))
-        du_t, dv_t = rhs_arrays(st_t.u.values, st_t.v.values, g, params)
+        (du_t, dv_t), _ = rhs_arrays(st_t.u.values, st_t.v.values, g, params)
         np.testing.assert_allclose(du_t, du.T, atol=1e-12)
         np.testing.assert_allclose(dv_t, dv.T, atol=1e-12)
 
     def test_harmonic_mean_positive(self):
         g = grid1d(16)
         st = random_state(g, 11, lo=0.01, hi=5.0)
-        du, dv = rhs_arrays(st.u.values, st.v.values, g,
+        (du, dv), _ = rhs_arrays(st.u.values, st.v.values, g,
                             ModelParams(l=2.0, epsilon=0.01,
                                         face_mean="harmonic"))
         assert np.all(np.isfinite(du))
@@ -161,24 +161,30 @@ class TestRhs:
         assert abs(total) < 1e-12
 
 
+def cfl_dt(state, params, safety=0.4):
+    """The step's dt: `stability_dt` of the maxima `rhs_arrays` returns."""
+    _, maxima = rhs_arrays(state.u.values, state.v.values, state.grid, params)
+    return stability_dt(state.grid, maxima, safety)
+
+
 class TestStabilityDt:
     def test_unit_state(self):
         g = grid1d(10)
         st = State(u=ScalarField.full(g, 1.0), v=ScalarField.full(g, 1.0))
-        dt = stability_dt(st, ModelParams(l=2.0, epsilon=0.01), safety=0.4)
+        dt = cfl_dt(st, ModelParams(l=2.0, epsilon=0.01), safety=0.4)
         assert dt == pytest.approx(0.4 * 0.01 / 2.0)
 
     def test_large_u_flat_v(self):
         g = grid1d(10)
         st = State(u=ScalarField.full(g, 4.0), v=ScalarField.full(g, 1.0))
-        dt = stability_dt(st, ModelParams(l=2.0, epsilon=0.01), safety=0.4)
+        dt = cfl_dt(st, ModelParams(l=2.0, epsilon=0.01), safety=0.4)
         assert dt == pytest.approx(0.4 * 0.01 / (2.0 * 4.0))
 
     def test_always_positive(self):
         for seed in range(20):
             g = grid2d(6)
             st = random_state(g, seed, lo=1e-3, hi=50.0)
-            dt = stability_dt(st, ModelParams(l=3.0, epsilon=0.01))
+            dt = cfl_dt(st, ModelParams(l=3.0, epsilon=0.01))
             assert dt > 0.0 and np.isfinite(dt)
 
 
@@ -190,10 +196,9 @@ class TestWorkArrays:
         g = make_grid()
         params = ModelParams(l=l, epsilon=0.01, face_mean=mean)
         first, second = random_state(g, 1), random_state(g, 2)
-        du, dv = rhs_arrays(first.u.values, first.v.values, g, params)
+        (du, dv), _ = rhs_arrays(first.u.values, first.v.values, g, params)
         kept = du.copy(), dv.copy()
-        stability_dt(second, params)
-        du2, dv2 = rhs_arrays(second.u.values, second.v.values, g, params)
+        (du2, dv2), _ = rhs_arrays(second.u.values, second.v.values, g, params)
         assert np.array_equal(du, kept[0]) and np.array_equal(dv, kept[1])
         assert not np.array_equal(du2, du)
 
@@ -246,6 +251,16 @@ def reference_stability_dt(state, params, safety=0.4):
     return safety * hmin * hmin / (2.0 * grid.dim * dmax)
 
 
+def reference_maxima(state, params):
+    """The CFL maxima in the np.diff form: of u^(l-1) v, of u^l v and of
+    |face difference of v| / h."""
+    v = state.v.values
+    coef_d, coef_t = reference_coefficients(state.u.values, v, params.l)
+    g = max(np.abs(np.diff(v, axis=axis)).max() / ha
+            for axis, ha in enumerate(state.grid.h))
+    return coef_d.max(), coef_t.max(), g
+
+
 def row_ramps(grid):
     """u constant; v rises by 4 along every row and each row starts 0.5 below
     the one before, so in flat order v falls by 4.5 from v[j, -1] to
@@ -280,13 +295,15 @@ class TestReferenceEquivalence:
             u, v = st.u.values, st.v.values
             for src in (None, source):
                 with np.errstate(all="raise"):
-                    du, dv = rhs_arrays(u, v, g, params, src)
+                    duv, maxima = rhs_arrays(u, v, g, params, src)
+                du, dv = duv
                 ru, rv = reference_rhs_arrays(u, v, g, params, src)
-                assert du.shape == g.shape and dv.shape == g.shape
+                assert duv.shape == (2, *g.shape)
+                assert maxima == reference_maxima(st, params)
                 # tobytes also tells -0.0 from 0.0
                 assert du.tobytes() == ru.tobytes()
                 assert dv.tobytes() == rv.tobytes()
             for safety in (0.4, 1.0):
                 with np.errstate(all="raise"):
-                    dt = stability_dt(st, params, safety)
+                    dt = stability_dt(g, maxima, safety)
                 assert dt == reference_stability_dt(st, params, safety)

@@ -19,6 +19,7 @@ from taxisim import (
     run_until,
     step,
 )
+import taxisim.model
 import taxisim.stepper
 from taxisim.grid import work_arrays
 from taxisim.model import rhs_arrays, stability_dt
@@ -189,10 +190,10 @@ def reference_step(state, params, ctrl, dt_max=None):
     and the consumption sum re-taken on every halving."""
     grid = state.grid
     u, v = state.u.values, state.v.values
-    dt = stability_dt(state, params, ctrl.safety)
+    (du, dv), maxima = rhs_arrays(u, v, grid, params)
+    dt = stability_dt(grid, maxima, ctrl.safety)
     if dt_max is not None:
         dt = min(dt, dt_max)
-    du, dv = rhs_arrays(u, v, grid, params)
     for _ in range(ctrl.max_halvings + 1):
         un = u + dt * du
         vn = v + dt * dv
@@ -221,9 +222,11 @@ class TestOnePassStep:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0,
                                      -1.0, 5e-324, 1e-300, 1.0])
     def test_acceptable_matches_isfinite_form(self, bad):
-        for shape in ((5,), (3, 4)):
+        # fields, and the step's (u, v) blocks with the bad value in v only
+        for shape in ((5,), (3, 4), (2, 5), (2, 3, 4)):
             a = np.full(shape, 2.0)
-            a.flat[len(a.flat) // 2] = bad
+            cells = a[1] if shape[0] == 2 else a
+            cells.flat[cells.size // 2] = bad
             expected = bool(np.isfinite(a).all() and a.min() > 0.0)
             assert _acceptable(a) is expected
 
@@ -236,10 +239,32 @@ class TestOnePassStep:
                 st = make_state(seed)
                 new = step(st, params, ctrl)
                 un, vn, t, cum = reference_step(st, params, ctrl)
-                assert new.t - st.t < stability_dt(st, params, ctrl.safety)
+                _, maxima = rhs_arrays(st.u.values, st.v.values, st.grid,
+                                       params)
+                assert new.t - st.t < stability_dt(st.grid, maxima,
+                                                   ctrl.safety)
                 assert np.array_equal(new.u.values, un)
                 assert np.array_equal(new.v.values, vn)
                 assert new.t == t and new.cumulative_uv == cum
+
+    @pytest.mark.parametrize("make_state", [
+        halving_state, halving_state_2d,
+        lambda seed: random_state(Grid(Domain((1.0, 1.0)), (9, 7)), seed)])
+    def test_one_coefficient_pass(self, monkeypatch, make_state):
+        # rhs_arrays forms the coefficients and hands their maxima to
+        # stability_dt; halving reuses them
+        calls = []
+        coefficients = taxisim.model._coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return coefficients(*args)
+
+        monkeypatch.setattr(taxisim.model, "_coefficients", counted)
+        for seed in range(3):
+            calls.clear()
+            step(make_state(seed), PARAMS, StepControl())
+            assert len(calls) == 1
 
 
 class TestWorkArrays:
@@ -289,16 +314,18 @@ class TestWorkArrays:
                                                ("stability_dt", 0.25),
                                                ("step", 4.25)])
     def test_allocation_bound(self, kernel, bound):
-        # rhs_arrays allocates du and dv, step also un and vn, stability_dt
-        # no field: face passes and u*v live in the work arrays, and no
-        # ufunc sees a strided axis-1 slice, which numpy would copy
+        # rhs_arrays allocates the (du, dv) block, step also the new (u, v)
+        # block, stability_dt no field: face passes and u*v live in the work
+        # arrays, and no ufunc sees a strided axis-1 slice, which numpy
+        # would copy
         g = Grid(Domain((2.0, 2.0)), (64, 64))
         ctrl = StepControl()
         st = step(random_state(g, 5), PARAMS, ctrl)  # allocates the work arrays
+        _, maxima = rhs_arrays(st.u.values, st.v.values, g, PARAMS)
         calls = {
             "rhs_arrays": lambda: rhs_arrays(st.u.values, st.v.values, g,
                                              PARAMS),
-            "stability_dt": lambda: stability_dt(st, PARAMS),
+            "stability_dt": lambda: stability_dt(g, maxima),
             "step": lambda: step(st, PARAMS, ctrl),
         }
         tracemalloc.start()
