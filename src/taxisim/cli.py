@@ -33,12 +33,9 @@ def _ints(raw: str) -> list[int]:
 
 
 def _load(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-    return cfg
+    given = {"seed": args.seed, "out_dir": args.out}
+    return dataclasses.replace(load_config(args.config), **{
+        k: v for k, v in given.items() if v is not None})
 
 
 def _check(cfg, args) -> None:

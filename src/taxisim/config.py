@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace, asdict
 
-from .diagnostics import _check_exponents
+from .diagnostics import _check_exponents, _check_columns
 from .grid import Domain, Grid, _check_dim, _check_lp_exponent
 from .model import ModelParams
 from .presets import check_preset, preset_defaults
@@ -193,6 +193,7 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
     q_alpha = get("diagnostics.q_alpha", ((4.0, 3.0), (6.0, 5.0)))
     for qa in q_alpha:
         check("diagnostics.q_alpha: ", _check_exponents, *qa)
+    check("diagnostics.", _check_columns, p_list, q_alpha)
     sample_interval = get("diagnostics.sample_interval", T / 100.0)
     if sample_interval <= 0.0:
         raise ConfigError(f"{name}: diagnostics.sample_interval must be positive")

@@ -207,6 +207,7 @@ def full_record(state: State, params: ModelParams, p_list,
     """Every diagnostic of `state`.  The face functionals share one pass and
     every temporary lives in the grid's work arrays, which the record
     borrows from the step."""
+    _check_columns(p_list, q_alpha)
     _check_positive(state.u, "u")
     inf_v = _check_positive(state.v, "v")
     grid = state.grid
@@ -272,6 +273,16 @@ def full_record(state: State, params: ModelParams, p_list,
 
 def _fmt_param(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else str(x)
+
+
+def _check_columns(p_list, q_alpha=DEFAULT_Q_ALPHA) -> None:
+    """A ValueError, starting with `p_list: ` or `q_alpha: `, if an entry
+    repeats a column; every record has lp_u_inf, so p = inf does."""
+    cols = record_columns(p_list, q_alpha)
+    for i, name in enumerate(cols):
+        if name in cols[:i]:
+            key = "q_alpha" if name.startswith("wq_") else "p_list"
+            raise ValueError(f"{key}: column {name} would repeat")
 
 
 def record_columns(p_list, q_alpha=DEFAULT_Q_ALPHA) -> list[str]:

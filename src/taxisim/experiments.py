@@ -50,14 +50,10 @@ def write_pgm(path, field: ScalarField) -> tuple[float, float]:
     (min, max) scaling constants."""
     a = field.values
     lo, hi = float(a.min()), float(a.max())
-    if hi > lo:
-        scaled = np.rint((a - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    else:
-        scaled = np.zeros(a.shape, dtype=np.uint8)
-    if field.grid.dim == 1:
-        img = scaled.reshape(1, -1)
-    else:
-        img = scaled.T  # x horizontal, y vertical
+    scaled = (np.rint((a - lo) / (hi - lo) * 255.0).astype(np.uint8)
+              if hi > lo else np.zeros(a.shape, dtype=np.uint8))
+    # x horizontal, y vertical
+    img = scaled.reshape(1, -1) if field.grid.dim == 1 else scaled.T
     height, width = img.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -142,11 +142,9 @@ class ScalarField:
 
 
 def _axis_slices(ndim: int, axis: int):
-    lo = [slice(None)] * ndim
-    hi = [slice(None)] * ndim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    return tuple(lo), tuple(hi)
+    lo = tuple(slice(0, -1) if a == axis else slice(None) for a in range(ndim))
+    hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(ndim))
+    return lo, hi
 
 
 def integrate_array(grid: Grid, a: np.ndarray) -> float:
@@ -159,19 +157,15 @@ def integrate(f: ScalarField) -> float:
     return integrate_array(f.grid, f.values)
 
 
-def _laplacian_array(a: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
-    out = np.zeros_like(a)
-    for axis, ha in enumerate(h):
-        g = np.diff(a, axis=axis) / ha
-        lo, hi = _axis_slices(a.ndim, axis)
-        out[lo] += g / ha
-        out[hi] -= g / ha
-    return out
-
-
 def laplacian(f: ScalarField) -> ScalarField:
     """Divergence of the face gradient (mirror-ghost 2nd-order stencil)."""
-    return ScalarField(f.grid, _laplacian_array(f.values, f.grid.h), copy=False)
+    out = np.zeros_like(f.values)
+    for axis, ha in enumerate(f.grid.h):
+        g = np.diff(f.values, axis=axis) / ha / ha
+        lo, hi = _axis_slices(out.ndim, axis)
+        out[lo] += g
+        out[hi] -= g
+    return ScalarField(f.grid, out, copy=False)
 
 
 def _check_lp_exponent(p: float) -> None:
@@ -207,26 +201,33 @@ def face_quadrature(grid: Grid, axis: int) -> np.ndarray:
 
 
 class WorkArrays(NamedTuple):
-    """Work arrays of one grid: seven rows of one cell field each,
-    overwritten by every step (in `model.rhs_arrays`), every `face_sums`
-    call and every 2D `inequalities.cosine_family` on that grid.
+    """Work arrays of one grid, overwritten by every step (in
+    `model.rhs_arrays`), every `face_sums` call and every 2D
+    `inequalities.cosine_family` on that grid.
 
     Face passes run over flattened cells, where the faces of an axis of
     stride s join flat cells k and k + s: each pass is one contiguous
     slice, while numpy copies a strided axis-1 slice inside every ufunc
     call.  On the last axis of a 2D grid the flat faces at `junk` join the
     end of one row to the start of the next; the step zeroes them, and
-    their dual volume is 0.0."""
+    their dual volume is 0.0.  Each axis has a flux block of 2N + s values
+    for N cells: u faces at [s, N), v faces at [N + s, 2N), and margins
+    [0, s), [N, N + s) and [2N, 2N + s) that stay 0.0, so the block from s
+    on less its first 2N values is each cell's net flux in u and in v.  For
+    N a multiple of 8 every face row starts a 64-byte line: face passes
+    measured slower on rows 8 bytes off a line."""
 
-    # rows 4-6 as cell fields: the step's two mobility coefficients and u*v
+    # rows 2-4 as cell fields: the step's two mobility coefficients and u*v
     coef_d: np.ndarray
     coef_t: np.ndarray
     uv: np.ndarray
     # per axis, flat: (h, lo, hi, junk, w, faces), with `w` the read-only
-    # dual volumes and `faces` views of the seven rows, of which the step
-    # uses the first four; `junk` is None without junk faces
+    # dual volumes and `faces` the flux block's u and v faces, then views
+    # of the five rows; `junk` is None without junk faces
     axes: tuple
-    # the seven rows, shaped (7, cells)
+    # per axis, views of the flux block: [s, 2N), [s, 2N + s) and [0, 2N)
+    flux: tuple
+    # five rows, shaped (5, cells), which hold no margin
     rows: np.ndarray
 
 
@@ -235,22 +236,28 @@ def work_arrays(grid: Grid) -> WorkArrays:
     """The grid's work arrays, allocated on first use and then reused, so
     neither a step nor a face pass allocates field-sized temporaries.  Calls
     on one grid must not run concurrently in threads of one process."""
-    rows = np.empty((7, grid.num_cells))
-    ny = grid.shape[-1]
-    axes = []
+    def zeros(size, first=0):  # element `first` starts a 64-byte line
+        raw = np.zeros(size + 8)
+        return raw[-(raw.__array_interface__["data"][0] // 8 + first) % 8:][:size]
+    n, ny = grid.num_cells, grid.shape[-1]
+    rows = zeros(5 * n).reshape(5, n)
+    axes, flux = [], []
     for axis, ha in enumerate(grid.h):
         stride = math.prod(grid.shape[axis + 1:])
-        nf = grid.num_cells - stride
+        nf = n - stride
+        block = zeros(2 * n + stride, stride)
         junk = slice(ny - 1, None, ny) if grid.dim > 1 and stride == 1 else None
         # per flat cell, the dual volume of its face towards +axis, 0 on the
         # last cell of a line
         w = np.append(face_quadrature(grid, axis), 0.0).repeat(stride)
-        w = np.tile(w, grid.num_cells // w.size)[:nf]
+        w = np.tile(w, n // w.size)[:nf]
         w.flags.writeable = False
         axes.append((ha, slice(None, nf), slice(stride, None), junk, w,
-                     tuple(r[:nf] for r in rows)))
-    return WorkArrays(*(r.reshape(grid.shape) for r in rows[4:]), tuple(axes),
-                      rows)
+                     (block[stride:n], block[n + stride:2 * n])
+                     + tuple(r[:nf] for r in rows)))
+        flux.append((block[stride:2 * n], block[stride:], block[:2 * n]))
+    return WorkArrays(*(r.reshape(grid.shape) for r in rows[2:]), tuple(axes),
+                      tuple(flux), rows)
 
 
 def face_sums(grid: Grid, integrand, grads=(), means=()) -> list[float]:

@@ -83,13 +83,19 @@ def regularize_initial(u0: ScalarField, v0: ScalarField,
 
 def _coefficients(u: np.ndarray, v: np.ndarray, params: ModelParams,
                   work: WorkArrays):
-    """Cellwise diffusion coefficient u^(l-1) v and taxis coefficient u^l v,
-    built from a single power evaluation into the work arrays."""
+    """Cellwise diffusion coefficient u^(l-1) v and taxis coefficient u^l v
+    in the work arrays.  u*v is formed first, into the `uv` row, and is the
+    taxis coefficient at l = 1 and the diffusion one at l = 2; any other l
+    takes a single power evaluation."""
     l = params.l
-    cd, ct = work.coef_d, work.coef_t
+    uv = np.multiply(u, v, out=work.uv)
     if l == 1.0:
-        np.multiply(u, v, out=ct)
-        return v, ct  # u^0 = 1 exactly
+        return v, uv  # u^0 = 1 exactly
+    cd, ct = work.coef_d, work.coef_t
+    if l == 2.0:
+        np.multiply(u, u, out=ct)
+        ct *= v
+        return uv, ct
     # in-place `**=` keeps the `**` operator's scalar fast paths (0.5 -> sqrt)
     np.copyto(cd, u)
     cd **= l - 1.0
@@ -105,58 +111,55 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
 
     Returns a fresh ``(2, *grid.shape)`` block of du and dv, and the maxima
     `stability_dt` takes: of u^(l-1) v, u^l v and |face gradient of v|.
-    Per axis the face differences, face means and the two fluxes divided by
-    h are each formed once, over flattened cells in the grid's work arrays
-    (see `WorkArrays`); u*v is left in their `uv` row.
+    Per axis the two fluxes divided by h are formed in place in the axis's
+    flux block (see `WorkArrays`), which less itself shifted by the stride
+    is each cell's net flux.  u*v is left in the `uv` work row.
     """
     work = work_arrays(grid)
     coef_d, coef_t = _coefficients(u, v, params, work)
     harmonic = params.face_mean == "harmonic"
-    du, dv = fdu, fdv = duv = np.zeros((2, *grid.shape))
-    r = np.multiply(u, v, out=work.uv)
     if grid.dim > 1:
-        u, v, coef_d, coef_t, fdu, fdv = (
-            a.reshape(-1) for a in (u, v, coef_d, coef_t, du, dv))
-    gv_max = 0.0
-    for ha, lo, hi, junk, _, (gu, gv, flux, den, *_) in work.axes:
+        u, v, coef_d, coef_t = (a.reshape(-1) for a in (u, v, coef_d, coef_t))
+    duv, gv_max = None, 0.0
+    for (ha, lo, hi, junk, _, (gu, gv, mean, den, *_)), (faces, up, down) in \
+            zip(work.axes, work.flux):
         np.subtract(u[hi], u[lo], out=gu)
-        gu /= ha
         np.subtract(v[hi], v[lo], out=gv)
-        gv /= ha
-        if junk is not None:
-            gv[junk] = 0.0
+        faces /= ha
+        if junk is not None:  # `faces` has the junk faces of both rows there
+            faces[junk] = 0.0
         # max|d| / h is max|d / h| bit for bit: rounding is monotone and odd
         gv_max = max(gv_max, gv.max(), -gv.min())
         d0, d1 = coef_d[lo], coef_d[hi]
         t0, t1 = coef_t[lo], coef_t[hi]
-        # flux = mean(coef_d) * gu - mean(coef_t) * gv; gu then holds the
-        # taxis term
+        # flux = mean(coef_d) * gu - mean(coef_t) * gv, in place of gu
         if harmonic:
-            np.multiply(2.0, d0, out=flux)
-            flux *= d1
-            flux /= np.add(d0, d1, out=den)
-            flux *= gu
-            np.multiply(2.0, t0, out=gu)
-            gu *= t1
-            gu /= np.add(t0, t1, out=den)
+            np.multiply(2.0, d0, out=mean)
+            mean *= d1
+            mean /= np.add(d0, d1, out=den)
+            gu *= mean
+            np.multiply(2.0, t0, out=mean)
+            mean *= t1
+            mean /= np.add(t0, t1, out=den)
         else:
-            np.add(d0, d1, out=flux)
-            flux *= 0.5
-            flux *= gu
-            np.add(t0, t1, out=gu)
-            gu *= 0.5
-        gu *= gv
-        flux -= gu
-        flux /= ha
-        gv /= ha
-        if junk is not None:
-            flux[junk] = 0.0
-        fdu[lo] += flux
-        fdu[hi] -= flux
-        fdv[lo] += gv
-        fdv[hi] -= gv
-    du += r
-    dv -= r
+            np.add(d0, d1, out=mean)
+            mean *= 0.5
+            gu *= mean
+            np.add(t0, t1, out=mean)
+            mean *= 0.5
+        mean *= gv
+        gu -= mean
+        faces /= ha
+        # margins add 0 and (0 + a) - b == a - b: once +-u*v is added, this
+        # is bit for bit a zero-filled block and four scatters
+        if duv is None:
+            duv = np.subtract(up, down)
+        else:
+            duv += up
+            duv -= down
+    du, dv = duv = duv.reshape(2, *grid.shape)
+    du += work.uv
+    dv -= work.uv
     if source is not None:
         du += source[0]
         dv += source[1]

@@ -352,6 +352,24 @@ def test_non_utf8_config_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_repeated_diagnostics_entry_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "rep.cfg"
+    path.write_text(CONFIG.replace("nx = 32", "nx = 16")
+                    + "diagnostics.p_list = 2,2\n"
+                    + "diagnostics.q_alpha = 4:3,4:3\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] \
+        == [err.splitlines()[-1]]
+    assert err.splitlines()[-1] == (
+        f"taxisim run: error: {path}: diagnostics.q_alpha: column wq_4_3 "
+        "would repeat")
+    assert not out.exists()
+
+
 # per command: its extra arguments and a name its finalized block calls
 LIFECYCLE = {
     "run": ([], (experiments, "full_record")),

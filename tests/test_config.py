@@ -115,6 +115,18 @@ class TestValidation:
             parse_config(MINIMAL + line + "\n", name="x.cfg")
         assert str(exc.value) == f"x.cfg: {message}"
 
+    @pytest.mark.parametrize("line, message", [
+        ("diagnostics.p_list = 2,2", "diagnostics.p_list: column lp_u_2"),
+        ("diagnostics.p_list = 4,2,4.0", "diagnostics.p_list: column lp_u_4"),
+        ("diagnostics.q_alpha = 4:3,6:5,4:3",
+         "diagnostics.q_alpha: column wq_4_3"),
+    ])
+    def test_repeated_entry_names_file_and_key(self, line, message):
+        # diagnostics owns the column names and the rule; config calls it
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + line + "\n", name="x.cfg")
+        assert str(exc.value) == f"x.cfg: {message} would repeat"
+
     def test_noise_amp_bound(self):
         text = MINIMAL.replace("init.preset = constant",
                                "init.preset = perturbed_front")

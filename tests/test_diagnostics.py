@@ -22,7 +22,9 @@ from taxisim import (
     weighted_gradient,
 )
 from taxisim.diagnostics import (
+    DEFAULT_Q_ALPHA,
     FunctionalRecord,
+    _check_columns,
     _dissipation_faces,
     _fmt_param,
     _power,
@@ -232,6 +234,18 @@ class TestFullRecord:
             assert rec.weighted_q == {
                 qa: weighted_gradient(st, *qa) for qa in q_alpha}
             assert rec.energy_G == energy_G(st, params)
+
+    @pytest.mark.parametrize("p_list, q_alpha, message", [
+        ((2.0, math.inf), DEFAULT_Q_ALPHA, "p_list: column lp_u_inf would"),
+        ((2, 2.0), DEFAULT_Q_ALPHA, "p_list: column lp_u_2 would"),
+        ((2.0,), ((4, 3), (4.0, 3.0)), "q_alpha: column wq_4_3 would"),
+    ])
+    def test_repeated_column_rejected(self, p_list, q_alpha, message):
+        # each would write a series.csv header naming one column twice
+        with pytest.raises(ValueError, match=message):
+            _check_columns(p_list, q_alpha)
+        with pytest.raises(ValueError, match=message):
+            full_record(linear_state(8), PARAMS, p_list, q_alpha)
 
 
 class TestSerialization:

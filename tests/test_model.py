@@ -280,7 +280,7 @@ BIT_GRIDS = [lambda: grid1d(37, L=3.0),
 
 
 class TestReferenceEquivalence:
-    @pytest.mark.parametrize("l", [1.0, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("l", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
     @pytest.mark.parametrize("mean", ["arithmetic", "harmonic"])
     @pytest.mark.parametrize("make_grid", BIT_GRIDS)
     def test_bit_identical(self, l, mean, make_grid):

@@ -22,6 +22,7 @@ from taxisim import (
 import taxisim.model
 import taxisim.stepper
 from taxisim.grid import work_arrays
+from taxisim.inequalities import check_ineq_64, cosine_family
 from taxisim.model import rhs_arrays, stability_dt
 from taxisim.stepper import _acceptable
 
@@ -309,6 +310,30 @@ class TestWorkArrays:
         assert np.array_equal(after.u.values, plain.u.values)
         assert np.array_equal(after.v.values, plain.v.values)
         assert (after.t, after.cumulative_uv) == (plain.t, plain.cumulative_uv)
+
+    @pytest.mark.parametrize("shape", [(40,), (9, 7)])
+    def test_flux_block_margins_stay_zero(self, shape):
+        # the step takes each cell's net flux as an axis's flux block less
+        # itself shifted by the stride, so the margins must stay 0.0 through
+        # records, cosine families and inequality checks on the same grid
+        g = Grid(Domain((1.0,) * len(shape)), shape)
+        ctrl = StepControl()
+        first = step(random_state(g, 4), PARAMS, ctrl)
+        full_record(first, PARAMS, (2.0, 4.0))
+        (phi, psi), = cosine_family(g, 1, seed=5)
+        check_ineq_64(phi, psi, 2.0, [0.5, 1.0])
+        work, n = work_arrays(g), g.num_cells
+        for (_, _, hi, *_), (_, up, down) in zip(work.axes, work.flux):
+            s = hi.start
+            margins = np.concatenate([down[:s], down[n:n + s], up[-s:]])
+            assert margins.tobytes() == bytes(margins.nbytes)  # +0.0 each
+        after = step(first, PARAMS, ctrl)
+        work_arrays.cache_clear()
+        cleared = step(first, PARAMS, ctrl)
+        assert after.u.values.tobytes() == cleared.u.values.tobytes()
+        assert after.v.values.tobytes() == cleared.v.values.tobytes()
+        assert (after.t, after.cumulative_uv) == (cleared.t,
+                                                  cleared.cumulative_uv)
 
     @pytest.mark.parametrize("kernel, bound", [("rhs_arrays", 2.25),
                                                ("stability_dt", 0.25),
