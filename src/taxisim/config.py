@@ -7,7 +7,7 @@ hard errors, so configs stay diffable and typo-proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass
 
 from .diagnostics import _check_exponents, _check_columns
 from .grid import Domain, Grid, _check_dim, _check_lp_exponent
@@ -15,8 +15,7 @@ from .model import ModelParams
 from .presets import check_preset, preset_defaults
 from .stepper import StepControl
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
-           "config_to_dict"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
 
 class ConfigError(ValueError):
@@ -224,10 +223,3 @@ def load_config(path) -> RunConfig:
                               f"{exc.start}") from None
     return parse_config(text, name=str(path))
 
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    d["model"] = {"l": cfg.model.l, "epsilon": cfg.model.epsilon,
-                  "b": cfg.model.b, "face_mean": cfg.model.face_mean}
-    d["q_alpha"] = [list(qa) for qa in cfg.q_alpha]
-    return d

@@ -309,8 +309,8 @@ def record_row(rec: FunctionalRecord, p_list,
     return out
 
 
-def write_series(path, records, p_list, q_alpha=DEFAULT_Q_ALPHA) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(record_columns(p_list, q_alpha)) + "\n")
-        for rec in records:
-            fh.write(",".join(record_row(rec, p_list, q_alpha)) + "\n")
+def write_series(fh, records, p_list, q_alpha=DEFAULT_Q_ALPHA) -> None:
+    """Write the rows of `records` to the open text file `fh`; a series.csv
+    is the `record_columns` line, then these rows."""
+    for rec in records:
+        fh.write(",".join(record_row(rec, p_list, q_alpha)) + "\n")

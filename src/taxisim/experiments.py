@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_to_dict
-from .diagnostics import full_record, write_series
+from .config import RunConfig
+from .diagnostics import full_record, record_columns, write_series
 from .grid import Domain, Grid, ScalarField, lp_norm, write_field
 from .model import State, regularize_initial
 from .presets import make_initial
@@ -80,7 +80,7 @@ def recorded(out_dir, config: RunConfig, **fields):
     (KeyboardInterrupt, re-raised).  Its `files` are what the block put in
     the yielded list, then "manifest.json"."""
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {"config": config_to_dict(config), "version": __version__,
+    manifest = {"config": dataclasses.asdict(config), "version": __version__,
                 "started": _now(), "status": "running", **fields}
     files: list[str] = []
 
@@ -106,68 +106,67 @@ def recorded(out_dir, config: RunConfig, **fields):
         write()
 
 
+def _events(config: RunConfig) -> dict:
+    """{t: (record, snapshot)} in time order: the sample times and T, which
+    are recorded, and the snapshot times.  Each time is capped at T, and
+    times within 1e-9 max(1, t) of an event's first time join that event,
+    which then takes place at its first time; the last event, which holds
+    T, takes place at T."""
+    n = int(math.floor(config.T / config.sample_interval + 1e-9))
+    times = sorted([(min(k * config.sample_interval, config.T), True, False)
+                    for k in range(n + 1)] + [(config.T, True, False)]
+                   + [(t, False, True) for t in config.snapshot_times])
+    events = []
+    for t, record, snapshot in times:
+        if events and t - events[-1][0] <= 1e-9 * max(1.0, t):
+            events[-1][1] |= record
+            events[-1][2] |= snapshot
+        else:
+            events.append([t, record, snapshot])
+    events[-1][0] = config.T
+    return {t: (record, snapshot) for t, record, snapshot in events}
+
+
 def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
-    """Run one simulation, sampling a FunctionalRecord every sample interval
-    and writing series.csv, snapshots, optional PGM rasters, and a manifest
-    `recorded` finalizes; a StepFailure ends the run as "step_failure"."""
+    """Run one simulation through the events of `_events`, writing each
+    record to series.csv as it is taken, snapshots and optional PGM rasters,
+    and a manifest `recorded` finalizes; a StepFailure ends the run as
+    "step_failure"."""
     out_dir = out_dir or config.out_dir
-    n_samples = int(math.floor(config.T / config.sample_interval + 1e-9))
-    sample_times = [k * config.sample_interval for k in range(n_samples + 1)]
-    snapshot_times = sorted(set(float(t) for t in config.snapshot_times))
-    events = sorted(set(sample_times[1:]) | set(snapshot_times) | {config.T})
-
-    def is_sample(t: float) -> bool:
-        k = round(t / config.sample_interval)
-        return (k <= n_samples
-                and abs(t - k * config.sample_interval) <= 1e-9 * max(1.0, t))
-
+    p_list, q_alpha = config.p_list, config.q_alpha
     with recorded(out_dir, config, children=[]) as (manifest, files):
-
-        def emit_snapshot(s: State) -> None:
-            for name, f in (("u", s.u), ("v", s.v)):
-                fname = f"{name}_{s.t:g}.field"
-                write_field(os.path.join(out_dir, fname), f)
-                files.append(fname)
-                if config.images:
-                    pname = f"{name}_{s.t:g}.pgm"
-                    lo, hi = write_pgm(os.path.join(out_dir, pname), f)
-                    manifest.setdefault("images", {})[pname] = {"min": lo,
-                                                                "max": hi}
-                    files.append(pname)
-
-        grid = config.grid()
-        u0, v0 = make_initial(config.preset, grid, config.preset_params,
-                              seed=config.seed)
+        u0, v0 = make_initial(config.preset, config.grid(),
+                              config.preset_params, seed=config.seed)
         state = regularize_initial(u0, v0, config.model)
         ctrl = config.step_control()
-
-        records = [full_record(state, config.model, config.p_list,
-                               config.q_alpha)]
-        snap_set = set(snapshot_times)
-        if any(abs(t) <= 1e-12 for t in snap_set):
-            emit_snapshot(state)
-            snap_set = {t for t in snap_set if abs(t) > 1e-12}
-
-        try:
-            for target in events:
-                if target <= 0.0:
-                    continue
-                state = run_until(state, target, config.model, ctrl)
-                # the state at T is always recorded; no time gets two rows
-                if ((target == config.T or is_sample(state.t))
-                        and state.t != records[-1].t):
-                    records.append(full_record(state, config.model,
-                                               config.p_list, config.q_alpha))
-                if any(abs(state.t - ts) <= 1e-9 * max(1.0, ts)
-                       for ts in snap_set):
-                    emit_snapshot(state)
-        except StepFailure as exc:
-            manifest.update(status="step_failure", error=str(exc))
-            state = exc.state
-
-        write_series(os.path.join(out_dir, "series.csv"), records,
-                     config.p_list, config.q_alpha)
-        files.insert(0, "series.csv")
+        records = []
+        with open(os.path.join(out_dir, "series.csv"), "w",
+                  newline="") as series:
+            files.append("series.csv")
+            series.write(",".join(record_columns(p_list, q_alpha)) + "\n")
+            try:
+                for t, (record, snapshot) in _events(config).items():
+                    state = run_until(state, t, config.model, ctrl)
+                    if record:
+                        records.append(full_record(state, config.model,
+                                                   p_list, q_alpha))
+                        write_series(series, records[-1:], p_list, q_alpha)
+                    # by name: a field bound to a loop variable would keep
+                    # its state's block alive until the next snapshot
+                    for name in ("u", "v") if snapshot else ():
+                        stem = f"{name}_{state.t:g}"
+                        path = os.path.join(out_dir, stem)
+                        write_field(path + ".field", getattr(state, name))
+                        files.append(stem + ".field")
+                        if config.images:
+                            lo, hi = write_pgm(path + ".pgm",
+                                               getattr(state, name))
+                            manifest.setdefault("images", {})[
+                                stem + ".pgm"] = {"min": lo, "max": hi}
+                            files.append(stem + ".pgm")
+            except StepFailure as exc:
+                manifest.update(status="step_failure", error=str(exc))
+                state = exc.state
     return RunResult(manifest=manifest, final_state=state, records=records)
 
 

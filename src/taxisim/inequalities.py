@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import _dissipation_faces, _quotient_faces
+from .diagnostics import _check_positive, _dissipation_faces, _quotient_faces
 from .grid import Grid, ScalarField, face_sums, integrate_array, work_arrays
-from .model import PositivityViolation
 
 __all__ = [
     "IneqReport",
@@ -61,20 +60,14 @@ def check_lists(ps, etas) -> None:
             raise ValueError(f"{name}: {exc}") from None
 
 
-def _check_positive_pair(phi: ScalarField, psi: ScalarField) -> None:
-    if not float(phi.values.min()) > 0.0:
-        raise PositivityViolation("phi must be strictly positive")
-    if not float(psi.values.min()) > 0.0:
-        raise PositivityViolation("psi must be strictly positive")
-
-
 def check_ineq_61(phi: ScalarField, psi: ScalarField, p: float,
                   field_seed: int | None = None) -> IneqReport:
     """Interpolation bound: int phi^(p+1) psi against the dissipation bracket
     {int (phi/psi)|grad psi|^2 + int (psi/phi)|grad phi|^2 + int phi psi}
     times int phi^p."""
     _check_p(p)
-    _check_positive_pair(phi, psi)
+    _check_positive(phi, "phi")
+    _check_positive(psi, "psi")
     grid = phi.grid
     f, s = phi.values, psi.values
     lhs = integrate_array(grid, f ** (p + 1.0) * s)
@@ -103,7 +96,8 @@ def check_ineq_64(phi: ScalarField, psi: ScalarField, p: float, eta,
     single = np.ndim(eta) == 0
     etas = (eta,) if single else tuple(eta)
     check_lists((p,), etas)
-    _check_positive_pair(phi, psi)
+    _check_positive(phi, "phi")
+    _check_positive(psi, "psi")
     grid = phi.grid
     f, s = phi.values, psi.values
     sup_psi = float(s.max())
@@ -162,6 +156,13 @@ def fit_constant(family, check, **params) -> float:
     if best is None:
         raise ValueError("empty field family")
     return best
+
+
+# cosine_family's series: modes up to _MODES per axis, scaled to [lo, hi]
+# with lo and hi drawn uniformly from these ranges
+_MODES = 3
+_LO_RANGE = (0.1, 1.0)
+_HI_RANGE = (1.0, 10.0)
 
 
 def _cosine_basis(grid: Grid, modes: int) -> list[np.ndarray]:
@@ -223,18 +224,17 @@ def _random_smooth(rng: np.random.Generator, grid: Grid, basis, lo: float,
     return ScalarField(grid, raw, copy=False)
 
 
-def cosine_family(grid: Grid, count: int, seed: int, modes: int = 3,
-                  lo_range=(0.1, 1.0), hi_range=(1.0, 10.0)):
+def cosine_family(grid: Grid, count: int, seed: int):
     """Seeded list of (phi, psi) pairs of smooth positive fields."""
     rng = np.random.default_rng(seed)
-    basis = _cosine_basis(grid, modes)
+    basis = _cosine_basis(grid, _MODES)
     pairs = []
     for _ in range(count):
-        lo = rng.uniform(*lo_range)
-        hi = rng.uniform(*hi_range)
+        lo = rng.uniform(*_LO_RANGE)
+        hi = rng.uniform(*_HI_RANGE)
         phi = _random_smooth(rng, grid, basis, lo, hi)
-        lo = rng.uniform(*lo_range)
-        hi = rng.uniform(*hi_range)
+        lo = rng.uniform(*_LO_RANGE)
+        hi = rng.uniform(*_HI_RANGE)
         psi = _random_smooth(rng, grid, basis, lo, hi)
         pairs.append((phi, psi))
     return pairs

@@ -275,11 +275,11 @@ class TestSerialization:
         st = linear_state(16, slope_u=0.5)
         rec = full_record(st, PARAMS, self.P_LIST)
         path = tmp_path / "series.csv"
-        write_series(path, [rec, rec], self.P_LIST)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 3
-        assert lines[0].split(",") == record_columns(self.P_LIST)
-        assert lines[1] == lines[2]
+        with open(path, "w", newline="") as fh:
+            write_series(fh, [rec, rec], self.P_LIST)
+            write_series(fh, [rec], self.P_LIST)  # appends
+        row = ",".join(record_row(rec, self.P_LIST))
+        assert path.read_text() == (row + "\n") * 3
 
 
 # Reference: the record path as it was before the face pass moved into the

@@ -39,10 +39,12 @@ diagnostics.sample_interval = 0.01
 
 
 def check_manifest(out_dir):
-    """Every listed file exists and every produced file is listed."""
+    """Every listed file exists, every produced file is listed, and none is
+    listed twice."""
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     listed = set(manifest["files"])
+    assert len(listed) == len(manifest["files"])
     on_disk = {f for f in os.listdir(out_dir)
                if os.path.isfile(os.path.join(out_dir, f))}
     assert listed == on_disk
@@ -173,6 +175,8 @@ seed = 5
     @pytest.mark.parametrize("T, interval, times", [
         (0.01, 0.003, [0.0, 0.003, 0.006, 0.009000000000000001, 0.01]),
         (0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),  # 3 * 0.1 lands one ulp past T
+        # 3 * 0.1 lands within 1e-9 before T: one event, at T
+        (0.3000000001, 0.1, [0.0, 0.1, 0.2, 0.3000000001]),
     ])
     def test_state_at_T_recorded_once(self, tmp_path, T, interval, times):
         cfg = parse_config(f"""
@@ -186,8 +190,42 @@ diagnostics.sample_interval = {interval}
         res = run_scenario(cfg, str(tmp_path))
         assert res.manifest["status"] == "success"
         assert [rec.t for rec in res.records] == times
+        assert res.final_state.t == T
         lines = (tmp_path / "series.csv").read_text().strip().split("\n")
         assert len(lines) == len(times) + 1
+
+    @pytest.mark.parametrize("T, snapshot_times", [
+        (0.5, "0.3"),  # 3 * 0.1 lands one ulp past the snapshot time
+        (0.3, "0.1,0.2,0.3"),  # and one ulp past T
+    ])
+    def test_snapshot_written_once(self, tmp_path, monkeypatch, T,
+                                   snapshot_times):
+        written = []
+        real = experiments.write_field
+
+        def counting_write_field(path, field):
+            written.append(os.path.basename(path))
+            return real(path, field)
+
+        monkeypatch.setattr(experiments, "write_field", counting_write_field)
+        cfg = parse_config(f"""
+grid.nx = 8
+model.l = 2
+model.epsilon = 0.01
+time.T = {T}
+init.preset = constant
+diagnostics.sample_interval = 0.1
+output.snapshot_times = {snapshot_times}
+""")
+        res = run_scenario(cfg, str(tmp_path))
+        assert res.manifest["status"] == "success"
+        expected = [f"{name}_{t:g}.field" for t in cfg.snapshot_times
+                    for name in "uv"]
+        assert written == expected
+        assert check_manifest(str(tmp_path))["files"] \
+            == ["series.csv", *expected, "manifest.json"]
+        assert [rec.t for rec in res.records] \
+            == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5][:round(T / 0.1) + 1]
 
     def test_step_failure_recorded(self, tmp_path):
         cfg = small_config(**{"init.a": 1e9, "init.b": 1e-6,
@@ -224,8 +262,13 @@ diagnostics.sample_interval = {interval}
             assert manifest["error"] == "RuntimeError: disk on fire"
         else:
             assert "error" not in manifest
-        assert "series.csv" not in manifest["files"]
-        assert "u_0.field" in manifest["files"]
+        assert manifest["files"][:2] == ["series.csv", "u_0.field"]
+        # the header and the two records taken before the third raised
+        text = (tmp_path / "series.csv").read_text()
+        assert text.endswith("\n")
+        rows = [line.split(",") for line in text.splitlines()]
+        assert [row[0] for row in rows] == ["t", "0", "0.01"]
+        assert len({len(row) for row in rows}) == 1
 
 
 class TestEpsilonContinuation:

@@ -365,7 +365,9 @@ class TestCosineFamily:
         ((1.0, 1.0), (2, 9)),  # more terms than the work arrays hold rows
     ])
     @pytest.mark.parametrize("seed, modes", [(0, 3), (1, 3), (7, 5)])
-    def test_matches_reference_bitwise(self, lengths, shape, seed, modes):
+    def test_matches_reference_bitwise(self, lengths, shape, seed, modes,
+                                       monkeypatch):
+        monkeypatch.setattr(inequalities, "_MODES", modes)
         g = Grid(Domain(lengths), shape)
         rng = np.random.default_rng(seed)
         expected = []
@@ -376,7 +378,7 @@ class TestCosineFamily:
                 hi = rng.uniform(1.0, 10.0)
                 pair.append(self.reference_smooth(rng, g, modes, lo, hi))
             expected.append(pair)
-        got = cosine_family(g, 4, seed, modes=modes)
+        got = cosine_family(g, 4, seed)
         for (phi, psi), (ref_phi, ref_psi) in zip(got, expected):
             assert np.array_equal(phi.values, ref_phi.values)
             assert np.array_equal(psi.values, ref_psi.values)
