@@ -22,6 +22,19 @@ class ConfigError(ValueError):
     pass
 
 
+def labels(values, output: str) -> dict:
+    """{`%g` label: value} of `values`.  Each label names an `output`, so two
+    values sharing one, equal ones included, are a ValueError."""
+    seen = {}
+    for x in values:
+        label = f"{x:g}"
+        if label in seen:
+            raise ValueError(f"{seen[label]!r} and {x!r} share the label "
+                             f"{label}, so they would share the {output}")
+        seen[label] = x
+    return seen
+
+
 @dataclass(frozen=True)
 class RunConfig:
     dim: int
@@ -200,6 +213,7 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
     if any(not 0.0 <= t <= T for t in snapshot_times):
         raise ConfigError(
             f"{name}: output.snapshot_times must lie in [0, time.T = {T:g}]")
+    check("output.snapshot_times: ", labels, snapshot_times, "snapshot files")
 
     return RunConfig(
         dim=dim, lengths=grid.domain.lengths, shape=grid.shape, model=model,

@@ -25,6 +25,7 @@ __all__ = [
     "record_columns",
     "record_row",
     "write_series",
+    "write_series_header",
     "DEFAULT_Q_ALPHA",
 ]
 
@@ -309,8 +310,13 @@ def record_row(rec: FunctionalRecord, p_list,
     return out
 
 
-def write_series(fh, records, p_list, q_alpha=DEFAULT_Q_ALPHA) -> None:
-    """Write the rows of `records` to the open text file `fh`; a series.csv
-    is the `record_columns` line, then these rows."""
-    for rec in records:
-        fh.write(",".join(record_row(rec, p_list, q_alpha)) + "\n")
+def write_series_header(fh, p_list, q_alpha=DEFAULT_Q_ALPHA) -> None:
+    """Start a series.csv in the open text file `fh`: the `record_columns`
+    line."""
+    fh.write(",".join(record_columns(p_list, q_alpha)) + "\n")
+
+
+def write_series(fh, rec, p_list, q_alpha=DEFAULT_Q_ALPHA) -> None:
+    """Append the `record_row` line of `rec` to a series.csv that
+    `write_series_header` started in `fh`."""
+    fh.write(",".join(record_row(rec, p_list, q_alpha)) + "\n")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
-from .diagnostics import full_record, record_columns, write_series
+from .config import RunConfig, labels
+from .diagnostics import full_record, write_series, write_series_header
 from .grid import Domain, Grid, ScalarField, lp_norm, write_field
 from .model import State, regularize_initial
 from .presets import make_initial
@@ -143,14 +143,14 @@ def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
         with open(os.path.join(out_dir, "series.csv"), "w",
                   newline="") as series:
             files.append("series.csv")
-            series.write(",".join(record_columns(p_list, q_alpha)) + "\n")
+            write_series_header(series, p_list, q_alpha)
             try:
                 for t, (record, snapshot) in _events(config).items():
                     state = run_until(state, t, config.model, ctrl)
                     if record:
                         records.append(full_record(state, config.model,
                                                    p_list, q_alpha))
-                        write_series(series, records[-1:], p_list, q_alpha)
+                        write_series(series, records[-1], p_list, q_alpha)
                     # by name: a field bound to a loop variable would keep
                     # its state's block alive until the next snapshot
                     for name in ("u", "v") if snapshot else ():
@@ -168,19 +168,6 @@ def run_scenario(config: RunConfig, out_dir: str | None = None) -> RunResult:
                 manifest.update(status="step_failure", error=str(exc))
                 state = exc.state
     return RunResult(manifest=manifest, final_state=state, records=records)
-
-
-def labels(values, output: str) -> dict:
-    """{`%g` label: value} of `values`.  Each label names an `output`, so two
-    values sharing one, equal ones included, are a ValueError."""
-    seen = {}
-    for x in values:
-        label = f"{x:g}"
-        if label in seen:
-            raise ValueError(f"{seen[label]!r} and {x!r} share the label "
-                             f"{label}, so they would share the {output}")
-        seen[label] = x
-    return seen
 
 
 def _children(prefix: str, values, make, jobs: int) -> dict:

@@ -93,6 +93,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="output.snapshot_times"):
             parse_config(bad + "output.snapshot_times = 0.02\n")
 
+    @pytest.mark.parametrize("times", ["0.1,0.1000001", "0.1,0.1"])
+    def test_snapshot_times_sharing_a_label(self, times):
+        # both would write u_0.1.field
+        with pytest.raises(ConfigError, match="output.snapshot_times: .* "
+                                              "share the label 0.1"):
+            parse_config(MINIMAL + f"output.snapshot_times = {times}\n")
+
     def test_unknown_preset(self):
         bad = MINIMAL.replace("init.preset = constant",
                               "init.preset = vortex")

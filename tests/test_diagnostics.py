@@ -33,6 +33,7 @@ from taxisim.diagnostics import (
     record_columns,
     record_row,
     write_series,
+    write_series_header,
 )
 from taxisim.grid import (
     _axis_slices,
@@ -276,10 +277,12 @@ class TestSerialization:
         rec = full_record(st, PARAMS, self.P_LIST)
         path = tmp_path / "series.csv"
         with open(path, "w", newline="") as fh:
-            write_series(fh, [rec, rec], self.P_LIST)
-            write_series(fh, [rec], self.P_LIST)  # appends
+            write_series_header(fh, self.P_LIST)
+            write_series(fh, rec, self.P_LIST)
+            write_series(fh, rec, self.P_LIST)  # appends
+        header = ",".join(record_columns(self.P_LIST))
         row = ",".join(record_row(rec, self.P_LIST))
-        assert path.read_text() == (row + "\n") * 3
+        assert path.read_text() == header + "\n" + (row + "\n") * 2
 
 
 # Reference: the record path as it was before the face pass moved into the

@@ -20,6 +20,7 @@ from taxisim.experiments import (
     run_scenario,
     write_pgm,
 )
+from taxisim.diagnostics import record_columns
 from taxisim.presets import make_initial
 from taxisim.stepper import StepFailure
 
@@ -267,7 +268,8 @@ output.snapshot_times = {snapshot_times}
         text = (tmp_path / "series.csv").read_text()
         assert text.endswith("\n")
         rows = [line.split(",") for line in text.splitlines()]
-        assert [row[0] for row in rows] == ["t", "0", "0.01"]
+        assert rows[0] == record_columns(cfg.p_list, cfg.q_alpha)
+        assert [row[0] for row in rows[1:]] == ["0", "0.01"]
         assert len({len(row) for row in rows}) == 1
 
 
