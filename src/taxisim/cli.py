@@ -8,12 +8,11 @@ import os
 import sys
 import time
 
-from .config import ConfigError, _finite, load_config
+from .config import ConfigError, _finite, labels, load_config
 from .experiments import (
     continuation_children,
     epsilon_continuation,
     l_sweep,
-    labels,
     recorded,
     refinement_grids,
     refinement_study,

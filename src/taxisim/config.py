@@ -7,12 +7,12 @@ hard errors, so configs stay diffable and typo-proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .diagnostics import _check_exponents, _check_columns
+from .diagnostics import DEFAULT_Q_ALPHA, _check_columns, _check_exponents
 from .grid import Domain, Grid, _check_dim, _check_lp_exponent
 from .model import ModelParams
-from .presets import check_preset, preset_defaults
+from .presets import PRESET_PARAMS, check_preset, preset_defaults
 from .stepper import StepControl
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
@@ -35,25 +35,71 @@ def labels(values, output: str) -> dict:
     return seen
 
 
+def _keyed(prefix: str, rule, *args, **kwargs):
+    """rule(*args, **kwargs); its ValueError is raised again starting with
+    `prefix`, which names the config key."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """One run, as a config file states it.  Every rule a run relies on is
+    checked when a RunConfig is built, by `parse_config`,
+    `dataclasses.replace` or a caller; the ValueError starts with the config
+    key it is about.  `preset_params` holds every parameter of the preset,
+    each one not given taking its default."""
+
     dim: int
     lengths: tuple[float, ...]
     shape: tuple[int, ...]
     model: ModelParams
     T: float
-    safety: float
-    dt_min: float
-    max_halvings: int
     preset: str
-    preset_params: dict
-    p_list: tuple[float, ...]
-    q_alpha: tuple[tuple[float, float], ...]
     sample_interval: float
-    out_dir: str
-    snapshot_times: tuple[float, ...]
-    images: bool
-    seed: int
+    preset_params: dict = field(default_factory=dict)
+    safety: float = StepControl.safety
+    dt_min: float = StepControl.dt_min
+    max_halvings: int = StepControl.max_halvings
+    p_list: tuple[float, ...] = (2.0, 4.0)
+    q_alpha: tuple[tuple[float, float], ...] = DEFAULT_Q_ALPHA
+    out_dir: str = "out"
+    snapshot_times: tuple[float, ...] = ()
+    images: bool = False
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        _keyed("domain.", _check_dim, self.dim)
+        grid = _keyed("grid.", Grid, _keyed("domain.", Domain, self.lengths),
+                      self.shape)
+        if grid.dim != self.dim:
+            raise ValueError(f"domain.dim is {self.dim} but the lengths are "
+                             f"{grid.domain.lengths}")
+        object.__setattr__(self, "lengths", grid.domain.lengths)
+        object.__setattr__(self, "shape", grid.shape)
+        _keyed("time.", self.step_control)
+        if not self.T > 0.0:
+            raise ValueError(f"time.T must be positive, got {self.T}")
+
+        params = {**_keyed("init.preset: ", preset_defaults, self.preset),
+                  **self.preset_params}
+        _keyed("init.", check_preset, params, self.dim)
+        object.__setattr__(self, "preset_params", params)
+
+        for p in self.p_list:
+            _keyed("diagnostics.p_list: ", _check_lp_exponent, p)
+        for qa in self.q_alpha:
+            _keyed("diagnostics.q_alpha: ", _check_exponents, *qa)
+        _keyed("diagnostics.", _check_columns, self.p_list, self.q_alpha)
+        if not self.sample_interval > 0.0:
+            raise ValueError("diagnostics.sample_interval must be positive")
+        if any(not 0.0 <= t <= self.T for t in self.snapshot_times):
+            raise ValueError("output.snapshot_times must lie in "
+                             f"[0, time.T = {self.T:g}]")
+        _keyed("output.snapshot_times: ", labels, self.snapshot_times,
+               "snapshot files")
 
     def grid(self) -> Grid:
         return Grid(Domain(self.lengths), self.shape)
@@ -63,28 +109,29 @@ class RunConfig:
                            max_halvings=self.max_halvings)
 
 
+# key: (value kind, the RunConfig field it sets as it is, if one)
 _KNOWN = {
-    "domain.dim": "int",
-    "domain.lx": "finite float",
-    "domain.ly": "finite float",
-    "grid.nx": "int",
-    "grid.ny": "int",
-    "model.l": "finite float",
-    "model.epsilon": "finite float",
-    "model.b": "finite float",
-    "model.face_mean": "str",
-    "time.T": "finite float",
-    "time.safety": "finite float",
-    "time.dt_min": "finite float",
-    "time.max_halvings": "int",
-    "init.preset": "str",
-    "diagnostics.p_list": "finite floats",
-    "diagnostics.q_alpha": "finite q:alpha pairs",
-    "diagnostics.sample_interval": "finite float",
-    "output.dir": "str",
-    "output.snapshot_times": "finite floats",
-    "output.images": "bool",
-    "seed": "int",
+    "domain.dim": ("int", None),
+    "domain.lx": ("finite float", None),
+    "domain.ly": ("finite float", None),
+    "grid.nx": ("int", None),
+    "grid.ny": ("int", None),
+    "model.l": ("finite float", None),
+    "model.epsilon": ("finite float", None),
+    "model.b": ("finite float", None),
+    "model.face_mean": ("str", None),
+    "time.T": ("finite float", "T"),
+    "time.safety": ("finite float", "safety"),
+    "time.dt_min": ("finite float", "dt_min"),
+    "time.max_halvings": ("int", "max_halvings"),
+    "init.preset": ("str", "preset"),
+    "diagnostics.p_list": ("finite floats", "p_list"),
+    "diagnostics.q_alpha": ("finite q:alpha pairs", "q_alpha"),
+    "diagnostics.sample_interval": ("finite float", "sample_interval"),
+    "output.dir": ("str", "out_dir"),
+    "output.snapshot_times": ("finite floats", "snapshot_times"),
+    "output.images": ("bool", "images"),
+    "seed": ("int", "seed"),
 }
 
 _REQUIRED = ("grid.nx", "model.l", "model.epsilon", "time.T", "init.preset")
@@ -121,6 +168,9 @@ def _parse_value(raw: str, kind: str):
 
 
 def parse_config(text: str, name: str = "<config>") -> RunConfig:
+    """The RunConfig `text` states.  A ConfigError names `name` and the line
+    or key: a line that is not `key = value`, an unknown, duplicate or
+    missing key, a value of the wrong kind, or a rule RunConfig checks."""
     raw: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -137,95 +187,44 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
             raise ConfigError(f"{name}: line {lineno}: duplicate key {key}")
         raw[key] = (value, lineno)
 
-    def check(prefix, rule, *args, **kwargs):
-        """rule(*args, **kwargs); a ValueError becomes a ConfigError."""
-        try:
-            return rule(*args, **kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {prefix}{exc}") from None
-
-    if "init.preset" not in raw:
-        raise ConfigError(f"{name}: missing required key init.preset")
-    preset = raw["init.preset"][0]
-    defaults = check("init.preset: ", preset_defaults, preset)
-    init_keys = {f"init.{k}" for k in defaults}
-
-    for key, (_, lineno) in raw.items():
-        if key not in _KNOWN and key not in init_keys:
+    preset_keys = PRESET_PARAMS.get(raw.get("init.preset", ("",))[0], {})
+    values = {}
+    for key, (value, lineno) in raw.items():
+        section, _, k = key.partition(".")
+        if key in _KNOWN:
+            kind = _KNOWN[key][0]
+        elif section == "init" and k in preset_keys:
+            kind = "finite floats" if k == "center" else "finite float"
+        else:
             raise ConfigError(f"{name}: line {lineno}: unknown key {key}")
+        try:
+            values[key] = _parse_value(value, kind)
+        except ValueError:
+            raise ConfigError(f"{name}: line {lineno}: cannot parse {key} = "
+                              f"{value!r} as {kind}") from None
     for key in _REQUIRED:
         if key not in raw:
             raise ConfigError(f"{name}: missing required key {key}")
 
-    def get(key, default=None, kind=None):
-        if key not in raw:
-            return default
-        value, lineno = raw[key]
-        kind = kind or _KNOWN[key]
-        try:
-            return _parse_value(value, kind)
-        except ValueError:
-            raise ConfigError(f"{name}: line {lineno}: cannot parse {key} = "
-                              f"{value!r} as {kind}") from None
-
-    def build(section, cls, *keys, **fields):
-        """cls(**fields, plus each of `keys` set as `section.key`).  The
-        class validates its fields; its ValueError starts with the field
-        name, so the ConfigError names the key."""
-        for k in keys:
-            if f"{section}.{k}" in raw:
-                fields[k] = get(f"{section}.{k}")
-        return check(f"{section}.", cls, **fields)
-
-    dim = get("domain.dim", 1)
-    check("domain.", _check_dim, dim)
-    lx = get("domain.lx", 1.0)
-    ly = get("domain.ly", lx)
-    nx = get("grid.nx")
-    ny = get("grid.ny", nx)
-    grid = build("grid", Grid,
-                 domain=build("domain", Domain,
-                              lengths=(lx,) if dim == 1 else (lx, ly)),
-                 shape=(nx,) if dim == 1 else (nx, ny))
-    model = build("model", ModelParams, "l", "epsilon", "b", "face_mean")
-    ctrl = build("time", StepControl, "safety", "dt_min", "max_halvings")
-    T = get("time.T")
-    if T <= 0.0:
-        raise ConfigError(f"{name}: time.T must be positive, got {T}")
-
-    preset_params = {
-        k: get(f"init.{k}", default,
-               "finite floats" if k == "center" else "finite float")
-        for k, default in defaults.items()}
-    check("init.", check_preset, preset_params, dim)
-
-    p_list = get("diagnostics.p_list", (2.0, 4.0))
-    for p in p_list:
-        check("diagnostics.p_list: ", _check_lp_exponent, p)
-    q_alpha = get("diagnostics.q_alpha", ((4.0, 3.0), (6.0, 5.0)))
-    for qa in q_alpha:
-        check("diagnostics.q_alpha: ", _check_exponents, *qa)
-    check("diagnostics.", _check_columns, p_list, q_alpha)
-    sample_interval = get("diagnostics.sample_interval", T / 100.0)
-    if sample_interval <= 0.0:
-        raise ConfigError(f"{name}: diagnostics.sample_interval must be positive")
-    snapshot_times = get("output.snapshot_times", ())
-    if any(not 0.0 <= t <= T for t in snapshot_times):
-        raise ConfigError(
-            f"{name}: output.snapshot_times must lie in [0, time.T = {T:g}]")
-    check("output.snapshot_times: ", labels, snapshot_times, "snapshot files")
-
-    return RunConfig(
-        dim=dim, lengths=grid.domain.lengths, shape=grid.shape, model=model,
-        T=T, safety=ctrl.safety, dt_min=ctrl.dt_min,
-        max_halvings=ctrl.max_halvings,
-        preset=preset, preset_params=preset_params,
-        p_list=p_list, q_alpha=q_alpha, sample_interval=sample_interval,
-        out_dir=get("output.dir", "out"),
-        snapshot_times=snapshot_times,
-        images=get("output.images", False),
-        seed=get("seed", 0),
-    )
+    # lengths, shape and the interval follow from other keys; RunConfig
+    # holds every other default
+    dim, lx, nx = (values.get("domain.dim", 1), values.get("domain.lx", 1.0),
+                   values["grid.nx"])
+    fields = {f: values[key] for key, (_, f) in _KNOWN.items()
+              if f and key in values}
+    fields.setdefault("sample_interval", fields["T"] / 100.0)
+    try:
+        return RunConfig(
+            dim=dim,
+            lengths=(lx,) if dim == 1 else (lx, values.get("domain.ly", lx)),
+            shape=(nx,) if dim == 1 else (nx, values.get("grid.ny", nx)),
+            model=_keyed("model.", ModelParams, **{
+                k[6:]: x for k, x in values.items() if k[:6] == "model."}),
+            preset_params={k[5:]: x for k, x in values.items()
+                           if k[:5] == "init." and k != "init.preset"},
+            **fields)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def load_config(path) -> RunConfig:

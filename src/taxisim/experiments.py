@@ -25,7 +25,6 @@ __all__ = [
     "RunResult",
     "recorded",
     "run_scenario",
-    "labels",
     "continuation_children",
     "epsilon_continuation",
     "refinement_grids",
@@ -317,7 +316,7 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
 
         def source_for(grid: Grid):
             x = mms.factors(grid.centers(0))  # formed once per grid
-            return lambda t, _grid: (fu(x, t), fv(x, t))
+            return lambda t: (fu(x, t), fv(x, t))
 
         errors = []
         for grid in grids:

@@ -48,10 +48,11 @@ def _acceptable(a: np.ndarray) -> bool:
 
 def step(state: State, params: ModelParams, ctrl: StepControl,
          dt_max: float | None = None, source=None) -> State:
-    """One accepted step; dt starts at the CFL bound and halves on rejection."""
+    """One accepted step; dt starts at the CFL bound and halves on rejection.
+    `source`, if given, maps t to the (f_u, f_v) pair added to the rhs."""
     grid = state.grid
     u, v = state.u.values, state.v.values
-    src = source(state.t, grid) if source is not None else None
+    src = source(state.t) if source is not None else None
     duv, maxima = rhs_arrays(u, v, grid, params, src)
     dt = stability_dt(grid, maxima, ctrl.safety)
     if dt_max is not None:

@@ -370,6 +370,23 @@ def test_repeated_diagnostics_entry_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_continuation_snapshot_label_shared_with_T(tmp_path, capsys):
+    # each child's snapshot at T = 0.30000001 prints like the one at 0.3
+    path = tmp_path / "near.cfg"
+    path.write_text(CONFIG.replace("time.T = 0.02", "time.T = 0.30000001")
+                    .replace("sample_interval = 0.01", "sample_interval = 0.1")
+                    + "output.snapshot_times = 0.3\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["continuation", str(path), "--out", str(out),
+              "--eps", "0.1,0.05"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "taxisim continuation: error: argument --eps: output.snapshot_times: "
+        "0.3 and 0.30000001 share the label 0.3")
+    assert not out.exists()
+
+
 # per command: its extra arguments and a name its finalized block calls
 LIFECYCLE = {
     "run": ([], (experiments, "full_record")),

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from taxisim import ConfigError, load_config, parse_config
+from taxisim import (ConfigError, ModelParams, RunConfig, load_config,
+                     parse_config)
 
 MINIMAL = """
 grid.nx = 64
@@ -139,6 +142,26 @@ class TestValidation:
                                "init.preset = perturbed_front")
         with pytest.raises(ConfigError, match="noise_amp"):
             parse_config(text + "init.noise_amp = 2\ninit.base = 1\n")
+
+
+class TestReplace:
+    # a config built by dataclasses.replace is checked as a parsed one is
+    @pytest.mark.parametrize("change, key", [
+        ({"sample_interval": 0.0}, "diagnostics.sample_interval"),
+        ({"T": -1.0}, "time.T"),
+        ({"snapshot_times": (0.1, 0.1000001)}, "output.snapshot_times"),
+        ({"p_list": (2.0, 2.0)}, "diagnostics.p_list"),
+    ])
+    def test_rejected_naming_key(self, change, key):
+        with pytest.raises(ValueError, match=f"^{key}"):
+            dataclasses.replace(parse_config(MINIMAL), **change)
+
+    def test_built_directly_takes_field_defaults(self):
+        # the defaults, preset parameters included, live in RunConfig
+        cfg = RunConfig(dim=1, lengths=(1.0,), shape=(64,),
+                        model=ModelParams(l=2.0, epsilon=0.01), T=1.0,
+                        preset="constant", sample_interval=0.01)
+        assert cfg == parse_config(MINIMAL)
 
 
 class TestNonFinite:

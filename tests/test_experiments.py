@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from taxisim import (
     read_field,
 )
 from taxisim.experiments import (
+    continuation_children,
     epsilon_continuation,
     l_sweep,
     refinement_study,
@@ -322,6 +324,16 @@ class TestEpsilonContinuation:
             epsilon_continuation(cfg, [0.05, 0.1], str(tmp_path))
         with pytest.raises(ValueError):
             epsilon_continuation(cfg, [0.1], str(tmp_path))
+
+
+    def test_snapshot_label_shared_with_T(self):
+        # the continuation adds T to the snapshot times; 0.3 and 0.30000001
+        # would both write u_0.3.field in every child
+        cfg = dataclasses.replace(small_config(), T=0.30000001,
+                                  sample_interval=0.1, snapshot_times=(0.3,))
+        with pytest.raises(ValueError, match="^eps: output.snapshot_times: "
+                                             "0.3 and 0.30000001 share"):
+            continuation_children(cfg, [0.1, 0.05])
 
 
 class TestRefinementStudy:
