@@ -83,8 +83,12 @@ class RunConfig:
         if not self.T > 0.0:
             raise ValueError(f"time.T must be positive, got {self.T}")
 
-        params = {**_keyed("init.preset: ", preset_defaults, self.preset),
-                  **self.preset_params}
+        defaults = _keyed("init.preset: ", preset_defaults, self.preset)
+        for k in self.preset_params:
+            if k not in defaults:
+                raise ValueError(f"init.{k} is not a parameter of preset "
+                                 f"{self.preset}; it has {sorted(defaults)}")
+        params = {**defaults, **self.preset_params}
         _keyed("init.", check_preset, params, self.dim)
         object.__setattr__(self, "preset_params", params)
 

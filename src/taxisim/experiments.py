@@ -16,7 +16,7 @@ from . import __version__
 from .config import RunConfig, labels
 from .diagnostics import full_record, write_series, write_series_header
 from .grid import Domain, Grid, ScalarField, lp_norm, write_field
-from .model import State, regularize_initial
+from .model import State, regularize_initial, rhs_arrays, stability_dt
 from .presets import make_initial
 from .stepper import StepFailure, run_until
 from . import mms
@@ -275,13 +275,16 @@ def epsilon_continuation(config: RunConfig, eps_list, out_dir: str | None = None
     return manifest
 
 
+def _mms_initial(grid: Grid) -> State:
+    xc = grid.centers(0)
+    return State(u=ScalarField(grid, mms.exact_u(xc, 0.0)),
+                 v=ScalarField(grid, mms.exact_v(xc, 0.0)))
+
+
 def _mms_config_run(config: RunConfig, grid: Grid, source,
                     dt_max: float | None = None) -> State:
-    xc = grid.centers(0)
-    state = State(u=ScalarField(grid, mms.exact_u(xc, 0.0)),
-                  v=ScalarField(grid, mms.exact_v(xc, 0.0)))
-    return run_until(state, config.T, config.model, config.step_control(),
-                     source=source, dt_max=dt_max)
+    return run_until(_mms_initial(grid), config.T, config.model,
+                     config.step_control(), source=source, dt_max=dt_max)
 
 
 def refinement_grids(n_list) -> list[Grid]:
@@ -312,16 +315,12 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
             raise RuntimeError(
                 f"manufactured source residual {residual:.3e} exceeds "
                 f"{MMS_RESIDUAL_TOL:g}; refusing to run the study")
-        fu, fv = mms.build_sources(l)
-
-        def source_for(grid: Grid):
-            x = mms.factors(grid.centers(0))  # formed once per grid
-            return lambda t: (fu(x, t), fv(x, t))
 
         errors = []
         for grid in grids:
-            final = _mms_config_run(config, grid, source_for(grid))
             xc = grid.centers(0)
+            # the forcing pair is one block per step, in buffers of the grid
+            final = _mms_config_run(config, grid, mms.forcing(l, xc))
             eu = lp_norm(ScalarField(grid, final.u.values - mms.exact_u(xc, config.T)), 2.0)
             ev = lp_norm(ScalarField(grid, final.v.values - mms.exact_v(xc, config.T)), 2.0)
             errors.append((grid.shape[0], eu, ev))
@@ -332,9 +331,16 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
         # Temporal self-convergence on a fixed coarse grid: field differences
         # between runs at dt and dt/2 cancel the spatial error exactly.
         grid_t = grids[0]
-        src_t = source_for(grid_t)
+        src_t = mms.forcing(l, grid_t.centers(0))
         h = grid_t.h[0]
-        dt0 = config.safety * h * h / 80.0  # safely below the forced-run CFL bound
+        # at most the forced run's CFL bound at t = 0, where the exact
+        # pair's mobilities peak: at l >= 3 h^2/80 lies above it, and runs
+        # at dt0 and dt0/2 would take the same CFL steps
+        start = _mms_initial(grid_t)
+        _, maxima = rhs_arrays(start.u.values, start.v.values, grid_t,
+                               config.model)
+        dt0 = min(config.safety * h * h / 80.0,
+                  stability_dt(grid_t, maxima, config.safety))
         dts = [dt0, dt0 / 2.0, dt0 / 4.0]
         finals = [_mms_config_run(config, grid_t, src_t, dt) for dt in dts]
         diffs = []

@@ -221,14 +221,26 @@ class WorkArrays(NamedTuple):
     coef_d: np.ndarray
     coef_t: np.ndarray
     uv: np.ndarray
-    # per axis, flat: (h, lo, hi, junk, w, faces), with `w` the read-only
-    # dual volumes and `faces` the flux block's u and v faces, then views
-    # of the five rows; `junk` is None without junk faces
+    # per axis, flat: (scale, lo, hi, junk, w, faces), with `scale` the
+    # axis's `face_scaling`, `w` the read-only dual volumes and `faces` the
+    # flux block's u and v faces, then views of the five rows; `junk` is
+    # None without junk faces
     axes: tuple
     # per axis, views of the flux block: [s, 2N), [s, 2N + s) and [0, 2N)
     flux: tuple
     # five rows, shaped (5, cells), which hold no margin
     rows: np.ndarray
+
+
+def face_scaling(h: float) -> tuple:
+    """(ufunc, k) with ``ufunc(x, k)`` equal to ``x / h`` bit for bit for
+    every float x: (multiply, 1/h) when h is a power of two whose
+    reciprocal is finite, else (true_divide, h).  Then 1/h is exact, so
+    x * (1/h) and x / h round the same real number, and a multiply costs
+    about a third of a divide."""
+    if math.frexp(h)[0] == 0.5 and math.isfinite(1.0 / h):
+        return np.multiply, 1.0 / h
+    return np.true_divide, h
 
 
 @functools.lru_cache(maxsize=4)
@@ -252,8 +264,8 @@ def work_arrays(grid: Grid) -> WorkArrays:
         w = np.append(face_quadrature(grid, axis), 0.0).repeat(stride)
         w = np.tile(w, n // w.size)[:nf]
         w.flags.writeable = False
-        axes.append((ha, slice(None, nf), slice(stride, None), junk, w,
-                     (block[stride:n], block[n + stride:2 * n])
+        axes.append((face_scaling(ha), slice(None, nf), slice(stride, None),
+                     junk, w, (block[stride:n], block[n + stride:2 * n])
                      + tuple(r[:nf] for r in rows)))
         flux.append((block[stride:2 * n], block[stride:], block[:2 * n]))
     return WorkArrays(*(r.reshape(grid.shape) for r in rows[2:]), tuple(axes),
@@ -278,10 +290,10 @@ def face_sums(grid: Grid, integrand, grads=(), means=()) -> list[float]:
     grads = [a.reshape(-1) for a in grads]
     means = [a.reshape(-1) for a in means]
     totals = []
-    for h, lo, hi, _, w, faces in work_arrays(grid).axes:
+    for (scale, k), lo, hi, _, w, faces in work_arrays(grid).axes:
         for a, out in zip(grads, faces):
             np.subtract(a[hi], a[lo], out=out)
-            out /= h
+            scale(out, k, out=out)  # out /= h
         for a, out in zip(means, faces[len(grads):n]):
             np.add(a[lo], a[hi], out=out)
             out *= 0.5

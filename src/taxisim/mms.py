@@ -18,7 +18,9 @@ import math
 
 import numpy as np
 
-__all__ = ["exact_u", "exact_v", "factors", "build_sources", "residual_check"]
+__all__ = ["exact_u", "exact_v", "forcing", "build_sources", "residual_check"]
+
+_PI2 = math.pi ** 2
 
 
 def exact_u(x, t):
@@ -29,35 +31,63 @@ def exact_v(x, t):
     return 2.0 + np.cos(np.pi * x) * np.exp(-t) / 2.0
 
 
-def factors(x) -> tuple:
-    """(cos(pi x), sin(pi x)^2): the x-only factors of the sources at x."""
-    return np.cos(np.pi * x), np.sin(np.pi * x) ** 2
+def forcing(l: float, x):
+    """The forcing that makes the exact pair solve the forced system for
+    exponent l, at the positions `x` (a scalar or an array), as a function
+    of t: ``source(t)`` returns the ``(2, *x.shape)`` block whose rows are
+    f_u and f_v.  The block and its work arrays are made here, once, and
+    each call overwrites them.
+
+    With h = cos(pi x) e^{-t} / 2 (u* = 2 + 2h, v* = 2 + h) and g = u*_x^2:
+    f_u = u*^(l-2) [g v* (1 + l h) + u* h (g/2 - 2 pi^2 v* h)] - 2h - u* v*
+    and f_v = (pi^2 - 1) h + u* v*.  The rows share h, v*, u* and u* v*;
+    at l = 2 the factor u*^0 = 1 is skipped."""
+    c, s2 = np.cos(np.pi * x), np.sin(np.pi * x) ** 2
+    shape = np.shape(c)
+    block = np.empty((2,) + shape)
+    # `[i, ...]` keeps each row an array when x is a scalar (0-d)
+    fu, fv = block[0, ...], block[1, ...]
+    h, v, u, uv, g, a, b = (np.empty(shape) for _ in range(7))
+
+    def source(t):
+        e = math.exp(-t)
+        np.multiply(c, 0.5 * e, out=h)
+        np.add(h, 2.0, out=v)
+        np.add(h, v, out=u)
+        np.multiply(u, v, out=uv)
+        np.multiply(s2, _PI2 * e * e, out=g)
+        # the bracket, g v* (l h + 1) + u* h (g/2 - 2 pi^2 v* h), into fu
+        np.multiply(g, v, out=fu)
+        np.multiply(h, l, out=a)
+        np.add(a, 1.0, out=a)
+        np.multiply(fu, a, out=fu)
+        np.multiply(v, 2.0 * _PI2, out=a)
+        np.multiply(a, h, out=a)
+        np.multiply(g, 0.5, out=b)
+        np.subtract(b, a, out=b)
+        np.multiply(u, h, out=a)
+        np.multiply(a, b, out=a)
+        np.add(fu, a, out=fu)
+        if l != 2.0:
+            np.multiply(fu, u ** (l - 2.0), out=fu)
+        np.multiply(h, 2.0, out=a)
+        np.subtract(fu, a, out=fu)
+        np.subtract(fu, uv, out=fu)
+        np.multiply(h, _PI2 - 1.0, out=fv)
+        np.add(fv, uv, out=fv)
+        return block
+
+    return source
 
 
 def build_sources(l: float):
-    """Forcing (f_u(x,t), f_v(x,t)) that makes the exact pair solve the
-    forced system for exponent l; `x` is a position (scalar or array) or
-    its `factors`, which a caller on a fixed grid forms once.  With
-    h = cos(pi x) e^{-t} / 2 (u* = 2 + 2h, v* = 2 + h) and g = u*_x^2:
-    f_u = u*^(l-2) [g v* (1 + l h) + u* h (g/2 - 2 pi^2 v* h)] - 2h - u* v*
-    and f_v = (pi^2 - 1) h + u* v*."""
-    pi2 = math.pi ** 2
-
+    """(f_u(x, t), f_v(x, t)): the rows of `forcing(l, x)` at t, each a
+    fresh array (a float for scalar x)."""
     def f_u(x, t):
-        c, s2 = x if isinstance(x, tuple) else factors(x)
-        e = math.exp(-t)
-        h = c * (0.5 * e)
-        v = h + 2.0
-        u = h + v
-        g = s2 * (pi2 * e * e)
-        bracket = g * v * (l * h + 1.0) + u * h * (0.5 * g - 2.0 * pi2 * v * h)
-        return u ** (l - 2.0) * bracket - 2.0 * h - u * v
+        return forcing(l, x)(t)[0]
 
     def f_v(x, t):
-        c = x[0] if isinstance(x, tuple) else np.cos(np.pi * x)
-        h = c * (0.5 * math.exp(-t))
-        v = h + 2.0
-        return (pi2 - 1.0) * h + (h + v) * v
+        return forcing(l, x)(t)[1]
 
     return f_u, f_v
 

@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 
+# The reductions of the step, called directly: `a.max()` and its kin pass
+# through numpy's Python wrappers to these same calls.  Each reduces a flat
+# array, or the whole of a multi-axis one with `axis=None`.
+_max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+
+
 class InvalidInitialData(ValueError):
     """Initial data violates u0 >= 0 or v0 > 0."""
 
@@ -107,13 +113,15 @@ def _coefficients(u: np.ndarray, v: np.ndarray, params: ModelParams,
 
 def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
                source=None) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """Array-level right-hand side; `source` is an optional (f_u, f_v) pair.
+    """Array-level right-hand side; `source` is an optional (f_u, f_v)
+    pair, such as a ``(2, *grid.shape)`` block, added in one call.
 
     Returns a fresh ``(2, *grid.shape)`` block of du and dv, and the maxima
     `stability_dt` takes: of u^(l-1) v, u^l v and |face gradient of v|.
     Per axis the two fluxes divided by h are formed in place in the axis's
-    flux block (see `WorkArrays`), which less itself shifted by the stride
-    is each cell's net flux.  u*v is left in the `uv` work row.
+    flux block (see `WorkArrays`; the division is the axis's
+    `face_scaling`), which less itself shifted by the stride is each cell's
+    net flux.  u*v is left in the `uv` work row.
     """
     work = work_arrays(grid)
     coef_d, coef_t = _coefficients(u, v, params, work)
@@ -121,15 +129,15 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
     if grid.dim > 1:
         u, v, coef_d, coef_t = (a.reshape(-1) for a in (u, v, coef_d, coef_t))
     duv, gv_max = None, 0.0
-    for (ha, lo, hi, junk, _, (gu, gv, mean, den, *_)), (faces, up, down) in \
-            zip(work.axes, work.flux):
+    for ((scale, k), lo, hi, junk, _, (gu, gv, mean, den, *_)), \
+            (faces, up, down) in zip(work.axes, work.flux):
         np.subtract(u[hi], u[lo], out=gu)
         np.subtract(v[hi], v[lo], out=gv)
-        faces /= ha
+        scale(faces, k, out=faces)  # faces /= h
         if junk is not None:  # `faces` has the junk faces of both rows there
             faces[junk] = 0.0
         # max|d| / h is max|d / h| bit for bit: rounding is monotone and odd
-        gv_max = max(gv_max, gv.max(), -gv.min())
+        gv_max = max(gv_max, _max(gv), -_min(gv))
         d0, d1 = coef_d[lo], coef_d[hi]
         t0, t1 = coef_t[lo], coef_t[hi]
         # flux = mean(coef_d) * gu - mean(coef_t) * gv, in place of gu
@@ -149,7 +157,7 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
             mean *= 0.5
         mean *= gv
         gu -= mean
-        faces /= ha
+        scale(faces, k, out=faces)
         # margins add 0 and (0 + a) - b == a - b: once +-u*v is added, this
         # is bit for bit a zero-filled block and four scatters
         if duv is None:
@@ -161,9 +169,8 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
     du += work.uv
     dv -= work.uv
     if source is not None:
-        du += source[0]
-        dv += source[1]
-    return duv, (float(coef_d.max()), float(coef_t.max()), float(gv_max))
+        duv += source
+    return duv, (float(_max(coef_d)), float(_max(coef_t)), float(gv_max))
 
 
 def stability_dt(grid: Grid, maxima: tuple[float, float, float],

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ScalarField, work_arrays
-from .model import ModelParams, State, rhs_arrays, stability_dt
+from .model import (ModelParams, State, _max, _min, _sum, rhs_arrays,
+                    stability_dt)
 
 __all__ = ["StepControl", "StepFailure", "step", "run_until"]
 
@@ -43,13 +44,13 @@ class StepFailure(RuntimeError):
 
 def _acceptable(a: np.ndarray) -> bool:
     """Every cell finite and positive: min rejects NaN and -inf, max +inf."""
-    return bool(a.min() > 0.0 and a.max() < np.inf)
+    return bool(_min(a, axis=None) > 0.0 and _max(a, axis=None) < np.inf)
 
 
 def step(state: State, params: ModelParams, ctrl: StepControl,
          dt_max: float | None = None, source=None) -> State:
     """One accepted step; dt starts at the CFL bound and halves on rejection.
-    `source`, if given, maps t to the (f_u, f_v) pair added to the rhs."""
+    `source`, if given, maps t to the (f_u, f_v) pair `rhs_arrays` adds."""
     grid = state.grid
     u, v = state.u.values, state.v.values
     src = source(state.t) if source is not None else None
@@ -58,7 +59,7 @@ def step(state: State, params: ModelParams, ctrl: StepControl,
     if dt_max is not None:
         dt = min(dt, dt_max)
     # consumption rate, independent of dt, from the u*v rhs_arrays left
-    uv_sum = float(work_arrays(grid).uv.sum())
+    uv_sum = float(_sum(work_arrays(grid).uv, axis=None))
 
     for _ in range(ctrl.max_halvings + 1):
         if dt < ctrl.dt_min:

@@ -156,6 +156,22 @@ class TestReplace:
         with pytest.raises(ValueError, match=f"^{key}"):
             dataclasses.replace(parse_config(MINIMAL), **change)
 
+    @pytest.mark.parametrize("change, key", [
+        ({"preset": "checker"}, "init.a"),
+        ({"preset_params": {"tiles": 3.0}}, "init.tiles"),
+    ])
+    def test_foreign_preset_parameter_rejected(self, change, key):
+        # a parameter the preset does not have would be echoed in the
+        # manifest and ignored by make_initial
+        with pytest.raises(ValueError, match=f"^{key} is not a parameter"):
+            dataclasses.replace(parse_config(MINIMAL), **change)
+
+    def test_preset_changed_with_its_parameters(self):
+        cfg = dataclasses.replace(parse_config(MINIMAL), preset="checker",
+                                  preset_params={"tiles": 3.0})
+        assert cfg.preset_params == {"lo": 0.5, "hi": 1.5, "tiles": 3.0,
+                                     "v": 1.0}
+
     def test_built_directly_takes_field_defaults(self):
         # the defaults, preset parameters included, live in RunConfig
         cfg = RunConfig(dim=1, lengths=(1.0,), shape=(64,),

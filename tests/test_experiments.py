@@ -356,6 +356,24 @@ init.preset = constant
         assert (tmp_path / "refine.csv").exists()
         assert (tmp_path / "temporal.csv").exists()
 
+    @pytest.mark.parametrize("l", [3.0, 4.0])
+    def test_temporal_orders_at_high_l(self, tmp_path, l):
+        # h^2/80 lies above the forced run's CFL bound from l = 3 on: runs
+        # at dt0 and dt0/2 took the same steps, and log2 of their zero
+        # difference raised
+        cfg = parse_config(f"""
+grid.nx = 16
+model.l = {l}
+model.epsilon = 0.01
+time.T = 0.02
+init.preset = constant
+""")
+        man = refinement_study(cfg, [16, 32], str(tmp_path))
+        assert man["status"] == "success"
+        assert all(d > 0.0 for d in man["temporal_diffs"])
+        (order,) = man["temporal_orders"]
+        assert 0.8 <= order <= 1.2
+
     def test_rejects_non_doubling(self, tmp_path):
         cfg = small_config()
         with pytest.raises(ValueError):

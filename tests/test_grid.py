@@ -14,7 +14,7 @@ from taxisim import (
     read_field,
     write_field,
 )
-from taxisim.grid import face_quadrature
+from taxisim.grid import face_quadrature, face_scaling, work_arrays
 
 
 def grid1d(n=16, L=1.0):
@@ -215,6 +215,39 @@ class TestFaceQuadrature:
         w = face_quadrature(g, 0)
         assert w.shape == (1,)
         assert w[0] == pytest.approx(1.0)
+
+
+class TestFaceScaling:
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf,
+               -math.inf, math.nan]
+
+    # (grid, the ufunc its axis scaling takes): h = 1/64, 2 and 10/256
+    @pytest.mark.parametrize("grid, ufunc", [
+        (grid1d(64), np.multiply),
+        (grid1d(2, L=4.0), np.multiply),
+        (grid1d(256, L=10.0), np.true_divide),
+    ])
+    def test_equals_division(self, grid, ufunc):
+        (h,) = grid.h
+        (scale, k), *_ = work_arrays(grid).axes[0]
+        assert scale is ufunc
+        x = np.concatenate([self.SPECIAL, np.random.default_rng(0).normal(
+            scale=1e3, size=1000)])
+        with np.errstate(all="ignore"):
+            got = scale(x, k)
+            want = x / h
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("h, ufunc", [
+        (2.0 ** -1022, np.multiply), (2.0 ** 1023, np.multiply),
+        (5e-324, np.true_divide),  # 1 / h overflows
+        (0.75, np.true_divide), (0.1, np.true_divide),
+    ])
+    def test_multiplies_only_by_exact_reciprocals(self, h, ufunc):
+        scale, k = face_scaling(h)
+        assert scale is ufunc
+        assert k == (1.0 / h if ufunc is np.multiply else h)
 
 
 class TestFieldIO:

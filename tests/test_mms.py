@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import taxisim
-from taxisim.mms import (build_sources, exact_u, exact_v, factors,
+from taxisim.mms import (build_sources, exact_u, exact_v, forcing,
                          residual_check)
 
 
@@ -86,14 +87,78 @@ class TestClosedFormMatchesSympy:
                 for f, ref in zip(closed, oracle):
                     want = ref(x, t)
                     tol = 1e-13 * np.abs(want).max()
-                    # from positions and from the per-grid factors alike
-                    for arg in (x, factors(x)):
-                        got = f(arg, t)
-                        assert got.shape == x.shape
-                        assert np.abs(got - want).max() <= tol
+                    got = f(x, t)
+                    assert got.shape == x.shape
+                    assert np.abs(got - want).max() <= tol
             for f, ref in zip(closed, oracle):
                 want = float(ref(0.3, t))
                 assert abs(float(f(0.3, t)) - want) <= 1e-13 * abs(want)
+
+
+# The two closures the forcing block replaced, kept as references: its rows
+# must reproduce them bit for bit.
+def reference_f_u(x, t, l):
+    pi2 = math.pi ** 2
+    c, s2 = np.cos(np.pi * x), np.sin(np.pi * x) ** 2
+    e = math.exp(-t)
+    h = c * (0.5 * e)
+    v = h + 2.0
+    u = h + v
+    g = s2 * (pi2 * e * e)
+    bracket = g * v * (l * h + 1.0) + u * h * (0.5 * g - 2.0 * pi2 * v * h)
+    return u ** (l - 2.0) * bracket - 2.0 * h - u * v
+
+
+def reference_f_v(x, t):
+    pi2 = math.pi ** 2
+    c = np.cos(np.pi * x)
+    h = c * (0.5 * math.exp(-t))
+    v = h + 2.0
+    return (pi2 - 1.0) * h + (h + v) * v
+
+
+class TestForcingBlock:
+    @pytest.mark.parametrize("l", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+    def test_rows_match_closed_forms(self, l):
+        fu, fv = build_sources(l)
+        for n in (32, 128):
+            x = (np.arange(n) + 0.5) / n
+            source = forcing(l, x)
+            for t in (0.0, 5e-4, 0.7):
+                want = reference_f_u(x, t, l), reference_f_v(x, t)
+                block = source(t)
+                assert block.shape == (2, n)
+                # tobytes also tells -0.0 from 0.0
+                assert block[0].tobytes() == want[0].tobytes()
+                assert block[1].tobytes() == want[1].tobytes()
+                assert fu(x, t).tobytes() == want[0].tobytes()
+                assert fv(x, t).tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("l", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+    def test_scalar_path(self, l):
+        # a scalar x takes the block's array arithmetic, so the oracle in
+        # residual_check checks what the study runs
+        fu, fv = build_sources(l)
+        for x in (0.05, 0.3, 0.5, 0.95):
+            for t in (0.0, 5e-4, 0.7):
+                got = fu(x, t), fv(x, t)
+                block = forcing(l, x)(t)
+                assert block.shape == (2,)
+                want = (reference_f_u(np.array([x]), t, l)[0],
+                        reference_f_v(np.array([x]), t)[0])
+                for g, b, w in zip(got, block, want):
+                    assert isinstance(g, float)
+                    assert g == b == w
+
+    def test_block_reused(self):
+        # the study's source makes no array per step
+        x = (np.arange(16) + 0.5) / 16
+        source = forcing(2.5, x)
+        first = source(0.1)
+        kept = first.copy()
+        assert source(0.2) is first
+        assert not np.array_equal(first, kept)
+        assert np.array_equal(forcing(2.5, x)(0.1), kept)
 
 
 class TestLazyImports:

@@ -271,12 +271,16 @@ def row_ramps(grid):
 
 
 # 1D, then 2D shapes whose flattened last axis has junk faces (every other
-# flat face when ny = 2)
+# flat face when ny = 2); then a 2D grid whose spacings are powers of two,
+# whose faces multiply by 1/h, and run-1d's 1D grid, h = 10/256, which
+# divides (see `grid.face_scaling`)
 BIT_GRIDS = [lambda: grid1d(37, L=3.0),
              lambda: Grid(Domain((2.0, 1.5)), (11, 9)),
              lambda: Grid(Domain((1.5, 2.0)), (9, 11)),
              lambda: Grid(Domain((1.0, 1.0)), (7, 2)),
-             lambda: Grid(Domain((1.0, 3.0)), (2, 7))]
+             lambda: Grid(Domain((1.0, 3.0)), (2, 7)),
+             lambda: Grid(Domain((2.0, 0.25)), (16, 8)),
+             lambda: grid1d(256, L=10.0)]
 
 
 class TestReferenceEquivalence:
