@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -230,6 +231,11 @@ class WorkArrays(NamedTuple):
     flux: tuple
     # five rows, shaped (5, cells), which hold no margin
     rows: np.ndarray
+    # the step's (du, dv) block, shaped (2, *shape); only `stepper.step`
+    # writes it
+    duv: np.ndarray
+    # per face mean, per axis, the step's `rhs_scalings`
+    scalings: dict
 
 
 def face_scaling(h: float) -> tuple:
@@ -241,6 +247,30 @@ def face_scaling(h: float) -> tuple:
     if math.frexp(h)[0] == 0.5 and math.isfinite(1.0 / h):
         return np.multiply, 1.0 / h
     return np.true_divide, h
+
+
+def rhs_scalings(h: float, mean: str) -> tuple:
+    """How `model.rhs_arrays` scales one axis's faces: (grad, k, su, sv).
+
+    The face means are left unhalved (arithmetic d0 + d1, harmonic
+    d0 d1 / (d0 + d1)), which doubles (arithmetic) or halves (harmonic) the
+    u flux; `su` undoes that with its final division by h.  When h is a
+    power of two and c/h^2 is finite and normal for c in (0.5, 1, 2), each
+    face row takes one multiply: the gradients stay unscaled (`grad` is
+    None), the largest |face difference| is multiplied by k = 1/h, and the
+    u and v rows by (0.5 or 2)/h^2 and 1/h^2.  Otherwise `grad` is the
+    gradients' `face_scaling(h)`, k = 1.0, `sv` is `face_scaling(h)` and
+    `su` is `face_scaling(2h)` or `face_scaling(h/2)`.  Scaling by a power
+    of two is exact, so both give the bits of halved means and two
+    divisions by h."""
+    c = 0.5 if mean == "arithmetic" else 2.0
+    inv = 1.0 / h
+    if math.frexp(h)[0] == 0.5 and all(
+            sys.float_info.min <= f * inv * inv < math.inf
+            for f in (0.5, 1.0, 2.0)):
+        return None, inv, (np.multiply, c * inv * inv), (np.multiply,
+                                                         inv * inv)
+    return face_scaling(h), 1.0, face_scaling(h / c), face_scaling(h)
 
 
 @functools.lru_cache(maxsize=4)
@@ -268,8 +298,11 @@ def work_arrays(grid: Grid) -> WorkArrays:
                      junk, w, (block[stride:n], block[n + stride:2 * n])
                      + tuple(r[:nf] for r in rows)))
         flux.append((block[stride:2 * n], block[stride:], block[:2 * n]))
+    scalings = {mean: tuple(rhs_scalings(ha, mean) for ha in grid.h)
+                for mean in ("arithmetic", "harmonic")}
     return WorkArrays(*(r.reshape(grid.shape) for r in rows[2:]), tuple(axes),
-                      tuple(flux), rows)
+                      tuple(flux), rows, zeros(2 * n).reshape(2, *grid.shape),
+                      scalings)
 
 
 def face_sums(grid: Grid, integrand, grads=(), means=()) -> list[float]:

@@ -33,7 +33,7 @@ _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
 
 class InvalidInitialData(ValueError):
-    """Initial data violates u0 >= 0 or v0 > 0."""
+    """Initial data violates u0 >= 0 or v0 > 0, or is not finite."""
 
 
 class PositivityViolation(ValueError):
@@ -75,11 +75,14 @@ class State:
 
 def regularize_initial(u0: ScalarField, v0: ScalarField,
                        params: ModelParams) -> State:
-    """Shift u0 by epsilon; reject data outside u0 >= 0, v0 > 0."""
+    """Shift u0 by epsilon; reject data outside u0 >= 0, v0 > 0, and
+    non-finite data."""
     if u0.grid is not v0.grid and u0.grid != v0.grid:
         raise InvalidInitialData("u0 and v0 must share one grid")
     for what, a, bad in (("u0 negative", u0.values, u0.values < 0.0),
-                         ("v0 nonpositive", v0.values, v0.values <= 0.0)):
+                         ("u0 non-finite", u0.values, ~np.isfinite(u0.values)),
+                         ("v0 nonpositive", v0.values, v0.values <= 0.0),
+                         ("v0 non-finite", v0.values, ~np.isfinite(v0.values))):
         if bad.any():
             cell = tuple(int(i) for i in np.argwhere(bad)[0])
             raise InvalidInitialData(f"{what} at cell {cell}: {a[cell]!r}")
@@ -112,65 +115,71 @@ def _coefficients(u: np.ndarray, v: np.ndarray, params: ModelParams,
 
 
 def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
-               source=None) -> tuple[np.ndarray, tuple[float, float, float]]:
+               source=None, out=None
+               ) -> tuple[np.ndarray, tuple[float, float, float]]:
     """Array-level right-hand side; `source` is an optional (f_u, f_v)
     pair, such as a ``(2, *grid.shape)`` block, added in one call.
 
-    Returns a fresh ``(2, *grid.shape)`` block of du and dv, and the maxima
-    `stability_dt` takes: of u^(l-1) v, u^l v and |face gradient of v|.
-    Per axis the two fluxes divided by h are formed in place in the axis's
-    flux block (see `WorkArrays`; the division is the axis's
-    `face_scaling`), which less itself shifted by the stride is each cell's
-    net flux.  u*v is left in the `uv` work row.
+    Returns a ``(2, *grid.shape)`` block of du and dv, written into `out`
+    (a C-contiguous float64 block of that shape) when given and else fresh,
+    and the maxima `stability_dt` takes: of u^(l-1) v, u^l v and |face
+    gradient of v|.  Per axis the two fluxes divided by h are formed in
+    place in the axis's flux block (see `WorkArrays`; the scalings are the
+    axis's `rhs_scalings`), which less itself shifted by the stride is each
+    cell's net flux.  u*v is left in the `uv` work row.
     """
     work = work_arrays(grid)
     coef_d, coef_t = _coefficients(u, v, params, work)
     harmonic = params.face_mean == "harmonic"
     if grid.dim > 1:
         u, v, coef_d, coef_t = (a.reshape(-1) for a in (u, v, coef_d, coef_t))
-    duv, gv_max = None, 0.0
-    for ((scale, k), lo, hi, junk, _, (gu, gv, mean, den, *_)), \
-            (faces, up, down) in zip(work.axes, work.flux):
+    if out is None:
+        out = np.empty((2, *grid.shape))
+    duv, first, gv_max = out.reshape(-1), True, 0.0
+    for (grad, k, (su, ku), (sv, kv)), \
+            (_, lo, hi, junk, _, (gu, gv, mean, den, *_)), (faces, up, down) \
+            in zip(work.scalings[params.face_mean], work.axes, work.flux):
         np.subtract(u[hi], u[lo], out=gu)
         np.subtract(v[hi], v[lo], out=gv)
-        scale(faces, k, out=faces)  # faces /= h
         if junk is not None:  # `faces` has the junk faces of both rows there
             faces[junk] = 0.0
-        # max|d| / h is max|d / h| bit for bit: rounding is monotone and odd
-        gv_max = max(gv_max, _max(gv), -_min(gv))
+        if grad is not None:
+            grad[0](faces, grad[1], out=faces)  # faces /= h
+        # max|d| / h is max|d / h| bit for bit: rounding is monotone and
+        # odd, and k is 1.0 or an exact 1/h
+        gv_max = max(gv_max, k * _max(gv), -k * _min(gv))
         d0, d1 = coef_d[lo], coef_d[hi]
         t0, t1 = coef_t[lo], coef_t[hi]
-        # flux = mean(coef_d) * gu - mean(coef_t) * gv, in place of gu
+        # flux = mean(coef_d) * gu - mean(coef_t) * gv, in place of gu, with
+        # the means' factors 0.5 or 2 left to `su`
         if harmonic:
-            np.multiply(2.0, d0, out=mean)
-            mean *= d1
+            np.multiply(d0, d1, out=mean)
             mean /= np.add(d0, d1, out=den)
             gu *= mean
-            np.multiply(2.0, t0, out=mean)
-            mean *= t1
+            np.multiply(t0, t1, out=mean)
             mean /= np.add(t0, t1, out=den)
         else:
             np.add(d0, d1, out=mean)
-            mean *= 0.5
             gu *= mean
             np.add(t0, t1, out=mean)
-            mean *= 0.5
         mean *= gv
         gu -= mean
-        scale(faces, k, out=faces)
+        su(gu, ku, out=gu)
+        sv(gv, kv, out=gv)
         # margins add 0 and (0 + a) - b == a - b: once +-u*v is added, this
         # is bit for bit a zero-filled block and four scatters
-        if duv is None:
-            duv = np.subtract(up, down)
+        if first:
+            np.subtract(up, down, out=duv)
+            first = False
         else:
             duv += up
             duv -= down
-    du, dv = duv = duv.reshape(2, *grid.shape)
+    du, dv = out
     du += work.uv
     dv -= work.uv
     if source is not None:
-        duv += source
-    return duv, (float(_max(coef_d)), float(_max(coef_t)), float(gv_max))
+        out += source
+    return out, (float(_max(coef_d)), float(_max(coef_t)), float(gv_max))
 
 
 def stability_dt(grid: Grid, maxima: tuple[float, float, float],

@@ -7,6 +7,8 @@ positivity comes from step-size control rather than clamping.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +29,12 @@ class StepControl:
     def __post_init__(self) -> None:
         if not 0.0 < self.safety <= 1.0:
             raise ValueError(f"safety must lie in (0,1], got {self.safety}")
-        if self.dt_min <= 0.0:
+        if not self.dt_min > 0.0:
             raise ValueError(f"dt_min must be positive, got {self.dt_min}")
-        if self.max_halvings < 0:
+        m = self.max_halvings
+        if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 0:
             raise ValueError(
-                f"max_halvings must be >= 0, got {self.max_halvings}")
+                f"max_halvings must be an integer >= 0, got {m!r}")
 
 
 class StepFailure(RuntimeError):
@@ -54,12 +57,13 @@ def step(state: State, params: ModelParams, ctrl: StepControl,
     grid = state.grid
     u, v = state.u.values, state.v.values
     src = source(state.t) if source is not None else None
-    duv, maxima = rhs_arrays(u, v, grid, params, src)
+    work = work_arrays(grid)
+    duv, maxima = rhs_arrays(u, v, grid, params, src, out=work.duv)
     dt = stability_dt(grid, maxima, ctrl.safety)
     if dt_max is not None:
         dt = min(dt, dt_max)
     # consumption rate, independent of dt, from the u*v rhs_arrays left
-    uv_sum = float(_sum(work_arrays(grid).uv, axis=None))
+    uv_sum = float(_sum(work.uv, axis=None))
 
     for _ in range(ctrl.max_halvings + 1):
         if dt < ctrl.dt_min:
@@ -82,6 +86,10 @@ def run_until(state: State, T: float, params: ModelParams, ctrl: StepControl,
               observer=None, source=None, dt_max: float | None = None) -> State:
     """Step until t = T exactly (final step truncated); observer sees every
     accepted state."""
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
+    if dt_max is not None and not dt_max > 0.0:
+        raise ValueError(f"dt_max must be positive, got {dt_max}")
     if T < state.t:
         raise ValueError(f"target time {T} lies before state time {state.t}")
     tol = 1e-12 * max(1.0, abs(T))

@@ -14,7 +14,8 @@ from taxisim import (
     read_field,
     write_field,
 )
-from taxisim.grid import face_quadrature, face_scaling, work_arrays
+from taxisim.grid import (face_quadrature, face_scaling, rhs_scalings,
+                          work_arrays)
 
 
 def grid1d(n=16, L=1.0):
@@ -248,6 +249,27 @@ class TestFaceScaling:
         scale, k = face_scaling(h)
         assert scale is ufunc
         assert k == (1.0 / h if ufunc is np.multiply else h)
+
+
+class TestRhsScalings:
+    # one multiply per face row when h is a power of two and every c / h^2
+    # is finite and normal; else the gradients divide by h first
+    @pytest.mark.parametrize("h", [1 / 64, 1 / 128, 1.0, 2.0, 2.0 ** -500])
+    def test_one_multiply_per_row(self, h):
+        for mean, c in (("arithmetic", 0.5), ("harmonic", 2.0)):
+            grad, k, su, sv = rhs_scalings(h, mean)
+            assert grad is None and k == 1.0 / h
+            assert su == (np.multiply, c / h / h)
+            assert sv == (np.multiply, 1.0 / h / h)
+
+    @pytest.mark.parametrize("h", [10 / 256, 0.75, 3.0,
+                                   2.0 ** -520, 2.0 ** 520])
+    def test_divide_path(self, h):
+        # 2^-520 and 2^520: 1 / h^2 overflows or is not normal
+        for mean, c in (("arithmetic", 0.5), ("harmonic", 2.0)):
+            grad, k, su, sv = rhs_scalings(h, mean)
+            assert grad == face_scaling(h) and k == 1.0
+            assert su == face_scaling(h / c) and sv == face_scaling(h)
 
 
 class TestFieldIO:

@@ -66,6 +66,21 @@ class TestRegularize:
                                ModelParams(l=2.0, epsilon=0.01))
 
 
+    @pytest.mark.parametrize("which, bad, cell", [
+        ("u0", np.nan, 2), ("u0", np.inf, 4), ("v0", np.inf, 6),
+        ("v0", np.nan, 1)])
+    def test_rejects_non_finite(self, which, bad, cell):
+        g = grid1d(8)
+        vals = np.ones(8)
+        vals[cell] = bad
+        fields = dict.fromkeys(("u0", "v0"), ScalarField.full(g, 1.0))
+        fields[which] = ScalarField(g, vals)
+        with pytest.raises(InvalidInitialData,
+                           match=rf"^{which} non-finite at cell \({cell},\)"):
+            regularize_initial(fields["u0"], fields["v0"],
+                               ModelParams(l=2.0, epsilon=0.01))
+
+
 class TestParams:
     def test_rejects_small_l(self):
         with pytest.raises(ValueError):
@@ -202,6 +217,24 @@ class TestWorkArrays:
         assert np.array_equal(du, kept[0]) and np.array_equal(dv, kept[1])
         assert not np.array_equal(du2, du)
 
+    @pytest.mark.parametrize("l", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("mean", ["arithmetic", "harmonic"])
+    @pytest.mark.parametrize("make_grid", [grid1d, grid2d,
+                                           lambda: grid1d(37, L=3.0)])
+    def test_out_matches_fresh_block(self, l, mean, make_grid):
+        g = make_grid()
+        params = ModelParams(l=l, epsilon=0.01, face_mean=mean)
+        st = random_state(g, 3)
+        source = np.random.default_rng(4).normal(size=(2, *g.shape))
+        for src in (None, source):
+            fresh, maxima = rhs_arrays(st.u.values, st.v.values, g, params,
+                                       src)
+            out = np.full((2, *g.shape), np.nan)
+            got, got_maxima = rhs_arrays(st.u.values, st.v.values, g, params,
+                                         src, out=out)
+            assert got is out and got_maxima == maxima
+            assert out.tobytes() == fresh.tobytes()
+
 
 # The np.diff / zeros_like forms the one-pass model replaced, kept as
 # references: the current kernels must reproduce them bit for bit.
@@ -273,14 +306,19 @@ def row_ramps(grid):
 # 1D, then 2D shapes whose flattened last axis has junk faces (every other
 # flat face when ny = 2); then a 2D grid whose spacings are powers of two,
 # whose faces multiply by 1/h, and run-1d's 1D grid, h = 10/256, which
-# divides (see `grid.face_scaling`)
+# divides (see `grid.face_scaling` and `grid.rhs_scalings`); then h = 1,
+# h = 2, and a 2D grid with one power-of-two axis, h = 1/8, and one not,
+# h = 3/7
 BIT_GRIDS = [lambda: grid1d(37, L=3.0),
              lambda: Grid(Domain((2.0, 1.5)), (11, 9)),
              lambda: Grid(Domain((1.5, 2.0)), (9, 11)),
              lambda: Grid(Domain((1.0, 1.0)), (7, 2)),
              lambda: Grid(Domain((1.0, 3.0)), (2, 7)),
              lambda: Grid(Domain((2.0, 0.25)), (16, 8)),
-             lambda: grid1d(256, L=10.0)]
+             lambda: grid1d(256, L=10.0),
+             lambda: grid1d(12, L=12.0),
+             lambda: Grid(Domain((16.0, 24.0)), (8, 12)),
+             lambda: Grid(Domain((1.0, 3.0)), (8, 7))]
 
 
 class TestReferenceEquivalence:

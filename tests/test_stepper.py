@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -93,7 +94,34 @@ class TestStep:
         assert exc_info.value.state is st
 
 
+class TestStepControl:
+    @pytest.mark.parametrize("kwargs", [
+        {"dt_min": math.nan}, {"dt_min": 0.0}, {"max_halvings": 2.5},
+        {"max_halvings": True}, {"max_halvings": -1}, {"safety": math.nan}])
+    def test_rejects(self, kwargs):
+        (key,) = kwargs
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            StepControl(**kwargs)
+
+    def test_accepts_numpy_integer(self):
+        assert StepControl(max_halvings=np.int64(3)).max_halvings == 3
+
+
 class TestRunUntil:
+    @pytest.mark.parametrize("T, dt_max, key", [
+        (math.nan, None, "T"), (math.inf, None, "T"), (-math.inf, None, "T"),
+        (0.5, math.nan, "dt_max"), (0.5, 0.0, "dt_max"),
+        (0.5, -1e-3, "dt_max")])
+    def test_rejects_bad_limits_before_any_step(self, monkeypatch, T, dt_max,
+                                                key):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(taxisim.stepper, "step", no_step)
+        st = constant_state(grid1d(8))
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            run_until(st, T, PARAMS, StepControl(), dt_max=dt_max)
+
     def test_noop_at_target(self):
         g = grid1d(8)
         st = constant_state(g)
@@ -362,6 +390,66 @@ class TestWorkArrays:
         finally:
             tracemalloc.stop()
         assert (peak - start) / (8 * g.num_cells) <= bound
+
+    def test_step_allocates_only_the_new_block(self):
+        # (du, dv) lives in the work arrays: an accepted step allocates the
+        # new (u, v) block and nothing field-sized besides
+        g = Grid(Domain((2.0, 2.0)), (64, 64))
+        ctrl = StepControl()
+        st = step(random_state(g, 5), PARAMS, ctrl)  # allocates the work arrays
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            step(st, PARAMS, ctrl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (8 * g.num_cells) <= 2.25
+
+
+def golden_state(grid):
+    """Smooth positive data from + - * / alone, so its bytes, and those of
+    every step from it, are the same on every IEEE-754 platform."""
+    x = grid.centers(0) / grid.domain.lengths[0]
+    u, v = 1.0 + 4.0 * x * (1.0 - x), 0.5 + x * x
+    if grid.dim == 2:
+        y = grid.centers(1) / grid.domain.lengths[1]
+        u = u[:, None] * (1.5 - y)
+        v = v[:, None] + 0.25 * y
+    return State(u=ScalarField(grid, u), v=ScalarField(grid, v))
+
+
+# sha256 of u then v after 40 steps, recorded at ebdef4d: 1D h = 10/48
+# divides, 2D h = 1/16 multiplies (see `grid.rhs_scalings`)
+GOLDEN = {
+    ("1d", "arithmetic", 1.0): "8bb268df7bf460663934aa677d3b1614bd24c079ecf844609f34dde031cfa5a6",
+    ("1d", "arithmetic", 1.5): "f9328400d6b0443c80c5670f6618cd9762842d4e7c3ee2741e62f7c83c519af1",
+    ("1d", "arithmetic", 2.0): "0707dad6a536931be48f4615d7aad7e783355d8f71b62bac047e425d96b11d9f",
+    ("1d", "harmonic", 1.0): "6196da41d70309dc58ba3ea392207f374245a6ed974fecad6090c0a3b2ec247f",
+    ("1d", "harmonic", 1.5): "08ecfffe3eef13fa4626d29ec1c98fa68aeb4d14aed27839bb2d91bcdc55d1fd",
+    ("1d", "harmonic", 2.0): "7068fc6885b8d09ba551198a60913f22ac3ae2bd54e31a4f42323b3ec750724e",
+    ("2d", "arithmetic", 1.0): "6d83cad0e055c8659d7173df93597b5ea7692ec0857fdf3a850dd29ae5fc8fe4",
+    ("2d", "arithmetic", 1.5): "1dcbc5b001a754308591d6b434b2109c6877c2819f36623e553e197108950a34",
+    ("2d", "arithmetic", 2.0): "47ff9a8cbca2cc2125af635f651cbfa67ff2abaddfd0e605188e00b4973f12e1",
+    ("2d", "harmonic", 1.0): "7ff8517f0f1bf295cb132fcde3af66b2671e1fcf78c906fa9667f253e1ef5858",
+    ("2d", "harmonic", 1.5): "56d1c53f6caf09ffae035369f84560c88c1208b73cd0712809d0a1ffceb5190d",
+    ("2d", "harmonic", 2.0): "f4fd5f0e06e29e8a7f11c9a9680c3da67933c8ccb856d4371672afefc7390f88",
+}
+GOLDEN_GRIDS = {"1d": Grid(Domain((10.0,)), (48,)),
+                "2d": Grid(Domain((1.0, 1.0)), (16, 16))}
+
+
+@pytest.mark.parametrize("key", GOLDEN,
+                         ids=["-".join(map(str, k)) for k in GOLDEN])
+def test_golden_bytes(key):
+    name, mean, l = key
+    params = ModelParams(l=l, epsilon=0.01, face_mean=mean)
+    st = golden_state(GOLDEN_GRIDS[name])
+    for _ in range(40):
+        st = step(st, params, StepControl())
+    got = hashlib.sha256(st.u.values.tobytes() + st.v.values.tobytes())
+    assert got.hexdigest() == GOLDEN[key]
 
 
 class TestTracingContract:
