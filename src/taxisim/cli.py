@@ -32,9 +32,17 @@ def _ints(raw: str) -> list[int]:
 
 
 def _load(args):
-    given = {"seed": args.seed, "out_dir": args.out}
-    return dataclasses.replace(load_config(args.config), **{
-        k: v for k, v in given.items() if v is not None})
+    """The config with the --seed and --out overrides; a ConfigError names
+    the file, or the option whose value RunConfig rejects."""
+    cfg = load_config(args.config)
+    for option, key, value in (("seed", "seed", args.seed),
+                               ("out", "out_dir", args.out)):
+        if value is not None:
+            try:
+                cfg = dataclasses.replace(cfg, **{key: value})
+            except ValueError as exc:
+                raise ConfigError(f"argument --{option}: {exc}") from None
+    return cfg
 
 
 def _check(cfg, args) -> None:
@@ -151,31 +159,34 @@ def _run_ineq(cfg, args) -> int:
         grid = cfg.grid()
         pairs = cosine_family(grid, args.count, cfg.seed)
         seconds["family_s"] = time.perf_counter() - start
+        ps, etas = args.p, args.eta
+        # one (field seed, lhs, rhs total, ratio) row per pair in each
+        # column: one column per p for (6.1), per (p, eta), p-major, for
+        # (6.4); a call per pair serves every p and eta
+        c61 = [[] for _ in ps]
+        c64 = [[] for _ in range(len(ps) * len(etas))]
+        start = time.perf_counter()
+        for i, (phi, psi) in enumerate(pairs):
+            for column, rep in zip(c61, check_ineq_61(phi, psi, ps,
+                                                      field_seed=i)):
+                terms = rep.rhs_terms
+                column.append((i, rep.lhs, terms["bracket"] * terms["factor"],
+                               rep.ratio))
+        middle = time.perf_counter()
+        for i, (phi, psi) in enumerate(pairs):
+            for column, rep in zip(c64, check_ineq_64(phi, psi, ps, etas,
+                                                      field_seed=i)):
+                column.append((i, rep.lhs, sum(rep.rhs_terms.values()),
+                               rep.ratio))
+        seconds["ineq_61_s"] = middle - start
+        seconds["ineq_64_s"] = time.perf_counter() - middle
         rows = []
         fitted = {}
-        for p in args.p:
-            sets = [("6.1", "", f"c61_p{p:g}")]
-            sets += [("6.4", f"{eta:g}", f"c64_p{p:g}_eta{eta:g}")
-                     for eta in args.eta]
-            # per set, one (field seed, lhs, rhs total, ratio) row per pair
-            columns = [[] for _ in sets]
-            start = time.perf_counter()
-            for i, (phi, psi) in enumerate(pairs):
-                rep = check_ineq_61(phi, psi, p, field_seed=i)
-                terms = rep.rhs_terms
-                columns[0].append((i, rep.lhs,
-                                   terms["bracket"] * terms["factor"],
-                                   rep.ratio))
-            # one (6.4) face pass per pair serves every eta
-            middle = time.perf_counter()
-            for i, (phi, psi) in enumerate(pairs):
-                reps = check_ineq_64(phi, psi, p, args.eta, field_seed=i)
-                for column, rep in zip(columns[1:], reps):
-                    column.append((i, rep.lhs, sum(rep.rhs_terms.values()),
-                                   rep.ratio))
-            seconds["ineq_61_s"] += middle - start
-            seconds["ineq_64_s"] += time.perf_counter() - middle
-            for (ineq, eta, key), column in zip(sets, columns):
+        for j, p in enumerate(ps):
+            sets = [("6.1", "", f"c61_p{p:g}", c61[j])]
+            sets += [("6.4", f"{eta:g}", f"c64_p{p:g}_eta{eta:g}", column)
+                     for eta, column in zip(etas, c64[j * len(etas):])]
+            for ineq, eta, key, column in sets:
                 rows += [(ineq, p, eta, *row) for row in column]
                 fitted[key] = max([0.0] + [row[-1] for row in column])
 

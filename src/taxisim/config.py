@@ -80,8 +80,9 @@ class RunConfig:
         object.__setattr__(self, "lengths", grid.domain.lengths)
         object.__setattr__(self, "shape", grid.shape)
         _keyed("time.", self.step_control)
-        if not self.T > 0.0:
-            raise ValueError(f"time.T must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"time.T must be positive and finite, got "
+                             f"{self.T}")
 
         defaults = _keyed("init.preset: ", preset_defaults, self.preset)
         for k in self.preset_params:
@@ -97,13 +98,19 @@ class RunConfig:
         for qa in self.q_alpha:
             _keyed("diagnostics.q_alpha: ", _check_exponents, *qa)
         _keyed("diagnostics.", _check_columns, self.p_list, self.q_alpha)
-        if not self.sample_interval > 0.0:
-            raise ValueError("diagnostics.sample_interval must be positive")
+        if not 0.0 < self.sample_interval < math.inf:
+            raise ValueError("diagnostics.sample_interval must be positive "
+                             f"and finite, got {self.sample_interval}")
         if any(not 0.0 <= t <= self.T for t in self.snapshot_times):
             raise ValueError("output.snapshot_times must lie in "
                              f"[0, time.T = {self.T:g}]")
         _keyed("output.snapshot_times: ", labels, self.snapshot_times,
                "snapshot files")
+        if not self.out_dir:
+            raise ValueError("output.dir must not be empty")
+        s = self.seed
+        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {s!r}")
 
     def grid(self) -> Grid:
         return Grid(Domain(self.lengths), self.shape)

@@ -47,10 +47,13 @@ def _check_eta(eta: float) -> None:  # (6.4)'s Young weight
         raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
-def check_lists(ps, etas) -> None:
+def check_lists(ps, etas=None) -> None:
     """The p and eta lists of a sweep of checks: neither empty, each p >= 1
-    and each eta > 0.  A ValueError starts with `p: ` or `eta: `."""
+    and each eta > 0; with `etas` None only the p list is checked.  A
+    ValueError starts with `p: ` or `eta: `."""
     for name, values, rule in (("p", ps, _check_p), ("eta", etas, _check_eta)):
+        if values is None:
+            continue
         try:
             if len(values) == 0:
                 raise ValueError("the list is empty")
@@ -60,90 +63,114 @@ def check_lists(ps, etas) -> None:
             raise ValueError(f"{name}: {exc}") from None
 
 
-def check_ineq_61(phi: ScalarField, psi: ScalarField, p: float,
-                  field_seed: int | None = None) -> IneqReport:
+def _listed(x) -> tuple[bool, tuple]:
+    """(whether `x` is one number, its values as a tuple)."""
+    single = np.ndim(x) == 0
+    return single, (x,) if single else tuple(x)
+
+
+def check_ineq_61(phi: ScalarField, psi: ScalarField, p,
+                  field_seed: int | None = None):
     """Interpolation bound: int phi^(p+1) psi against the dissipation bracket
     {int (phi/psi)|grad psi|^2 + int (psi/phi)|grad phi|^2 + int phi psi}
-    times int phi^p."""
-    _check_p(p)
+    times int phi^p.
+
+    `p` is a float, giving one IneqReport, or a non-empty sequence, giving
+    one report per p in order.  The face pass and the bracket are formed
+    once for the whole sequence, so each report equals, to the bit, that of
+    a call with its p alone."""
+    single, ps = _listed(p)
+    check_lists(ps)
     _check_positive(phi, "phi")
     _check_positive(psi, "psi")
     grid = phi.grid
     f, s = phi.values, psi.values
-    lhs = integrate_array(grid, f ** (p + 1.0) * s)
     diss_phi, diss_psi = face_sums(grid, _dissipation_faces,
                                    grads=(f, s), means=(f, s))
     bracket = diss_psi + diss_phi + integrate_array(grid, f * s)
-    factor = integrate_array(grid, f ** p)
-    denom = bracket * factor
-    ratio = lhs / denom if denom > 0.0 else math.inf
-    return IneqReport(lhs=lhs,
-                      rhs_terms={"bracket": bracket, "factor": factor},
-                      ratio=ratio, params={"p": p}, field_seed=field_seed)
+    reports = []
+    for q in ps:
+        lhs = integrate_array(grid, f ** (q + 1.0) * s)
+        factor = integrate_array(grid, f ** q)
+        denom = bracket * factor
+        ratio = lhs / denom if denom > 0.0 else math.inf
+        reports.append(IneqReport(lhs=lhs,
+                                  rhs_terms={"bracket": bracket,
+                                             "factor": factor},
+                                  ratio=ratio, params={"p": q},
+                                  field_seed=field_seed))
+    return reports[0] if single else reports
 
 
-def check_ineq_64(phi: ScalarField, psi: ScalarField, p: float, eta,
+# weighted_gradient's integrand at (q, alpha) = (4, 3): the quartic
+# gradient quotient over grads=(psi,), means=(psi,)
+def _quartic_faces(gs, ms, w, spare):
+    g2 = np.multiply(gs, gs, out=spare[0])
+    yield from _quotient_faces(gs, ms, w, g2, [(4.0, 3.0)], spare[1:])
+
+
+# (6.4)'s p-dependent face integrands over grads=(phi, psi) and
+# means=(phi^(p+1) psi, phi^(p-1) psi), in place in the means with the
+# operation order of m_fp1s * gs * gs * w and m_fm1s * gf * gf * w
+def _young_faces(gf, gs, m_fp1s, m_fm1s, w, spare):
+    m_fp1s *= gs
+    m_fp1s *= gs
+    m_fp1s *= w
+    yield m_fp1s
+    m_fm1s *= gf
+    m_fm1s *= gf
+    m_fm1s *= w
+    yield m_fm1s
+
+
+def check_ineq_64(phi: ScalarField, psi: ScalarField, p, eta,
                   field_seed: int | None = None):
     """Young-type bound on int phi^(p+1) psi |grad psi|^2; the right side
     carries the eta-weighted phi-dissipation, two terms scaled by the quartic
     gradient quotient of psi, and a mass term.  Ratios are reported with the
     inequality's unquantified constant set to 1.
 
-    `eta` is a float, giving one IneqReport, or a non-empty sequence, giving
-    one report per eta in order.  The face pass and every eta-free integral
-    are formed once for the whole sequence, so each report equals, to the
-    bit, that of a call with its eta alone."""
-    single = np.ndim(eta) == 0
-    etas = (eta,) if single else tuple(eta)
-    check_lists((p,), etas)
+    `p` and `eta` are each a float or a non-empty sequence.  Two floats give
+    one IneqReport; otherwise the reports form a flat list, p-major, one per
+    (p, eta).  The quartic quotient and every p-free integral are formed
+    once per call, one face pass and the p-dependent integrals once per p,
+    so each report equals, to the bit, that of a call with its p and eta
+    alone."""
+    single_p, ps = _listed(p)
+    single_eta, etas = _listed(eta)
+    check_lists(ps, etas)
     _check_positive(phi, "phi")
     _check_positive(psi, "psi")
     grid = phi.grid
     f, s = phi.values, psi.values
     sup_psi = float(s.max())
-    fp1s = f ** (p + 1.0) * s
-
-    # in place, with the operation order of m_fp1s * gs * gs * w and
-    # m_fm1s * gf * gf * w; the quartic quotient is weighted_gradient's
-    def faces(gf, gs, m_fp1s, m_fm1s, ms, w, spare):
-        t = spare[0]
-        np.multiply(m_fp1s, gs, out=t)
-        t *= gs
-        t *= w
-        yield t
-        np.multiply(m_fm1s, gf, out=t)
-        t *= gf
-        t *= w
-        yield t
-        # m_fp1s and m_fm1s are free from here on
-        g2 = np.multiply(gs, gs, out=m_fp1s)
-        yield from _quotient_faces(gs, ms, w, g2, [(4.0, 3.0)],
-                                   (t, spare[1], m_fm1s))
-
-    lhs, grad_phi, f4 = face_sums(grid, faces, grads=(f, s),
-                                  means=(fp1s, f ** (p - 1.0) * s, s))
-    int_fp1s = integrate_array(grid, fp1s)
-    mass_power = (sup_psi ** 2
-                  * integrate_array(grid, f) ** (2.0 * p + 1.0) * f4)
+    f4, = face_sums(grid, _quartic_faces, grads=(s,), means=(s,))
+    int_f = integrate_array(grid, f)
     base = sup_psi ** 2 * integrate_array(grid, f * s)
     reports = []
-    for e in etas:
-        # key order fixes the summation order of denom
-        terms = {
-            "eta_grad_phi": e * grad_phi,
-            "mixed": (sup_psi + sup_psi ** 3 / e) * int_fp1s * f4,
-            "mass_power": mass_power,
-            "base": base,
-        }
-        denom = sum(terms.values())
-        if lhs == 0.0:
-            ratio = 0.0
-        else:
-            ratio = lhs / denom if denom > 0.0 else math.inf
-        reports.append(IneqReport(lhs=lhs, rhs_terms=terms, ratio=ratio,
-                                  params={"p": p, "eta": e},
-                                  field_seed=field_seed))
-    return reports[0] if single else reports
+    for q in ps:
+        fp1s = f ** (q + 1.0) * s
+        lhs, grad_phi = face_sums(grid, _young_faces, grads=(f, s),
+                                  means=(fp1s, f ** (q - 1.0) * s))
+        int_fp1s = integrate_array(grid, fp1s)
+        mass_power = sup_psi ** 2 * int_f ** (2.0 * q + 1.0) * f4
+        for e in etas:
+            # key order fixes the summation order of denom
+            terms = {
+                "eta_grad_phi": e * grad_phi,
+                "mixed": (sup_psi + sup_psi ** 3 / e) * int_fp1s * f4,
+                "mass_power": mass_power,
+                "base": base,
+            }
+            denom = sum(terms.values())
+            if lhs == 0.0:
+                ratio = 0.0
+            else:
+                ratio = lhs / denom if denom > 0.0 else math.inf
+            reports.append(IneqReport(lhs=lhs, rhs_terms=terms, ratio=ratio,
+                                      params={"p": q, "eta": e},
+                                      field_seed=field_seed))
+    return reports[0] if single_p and single_eta else reports
 
 
 def fit_constant(family, check, **params) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -267,6 +268,90 @@ class TestIneq:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("p, eta", [
+    ([1.0, 2.5, 4.0], 0.5),
+    (2.5, [0.1, 1.0]),
+    (2.5, 0.5),
+])
+@pytest.mark.parametrize("check", [check_ineq_61, check_ineq_64])
+def test_checks_called_once_per_pair(tmp_path, monkeypatch, check, p, eta):
+    # the lab hands each check the whole --p list, and (6.4) the whole --eta
+    # list, once per field pair
+    calls = []
+
+    def counted(phi, psi, *args, **kwargs):
+        calls.append(args)
+        return check(phi, psi, *args, **kwargs)
+
+    monkeypatch.setattr(cli, check.__name__, counted)
+    ps = p if isinstance(p, list) else [p]
+    etas = eta if isinstance(eta, list) else [eta]
+    assert main(["ineq", write_config_2d(tmp_path), "--out",
+                 str(tmp_path / "out"), "--count", "3",
+                 "--p", ",".join(map(str, ps)),
+                 "--eta", ",".join(map(str, etas))]) == 0
+    expected = (ps,) if check is check_ineq_61 else (ps, etas)
+    assert calls == [expected] * 3
+
+
+def test_p_list_outputs_match_per_p_calls(tmp_path):
+    # one call per pair serves every p: the tables equal, byte for byte,
+    # those of one scalar call per (pair, p, eta)
+    cfg = write_config_2d(tmp_path)
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    reference_ineq(cfg, str(ref), 6, [1.0, 2.5, 4.0], [0.5])
+    assert main(["ineq", cfg, "--out", str(out), "--count", "6",
+                 "--p", "1,2.5,4", "--eta", "0.5"]) == 0
+    for name in ("ineq_reports.csv", "ineq_summary.json"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+# overrides RunConfig rejects: (option, value, the key its error names)
+OVERRIDES = [
+    ("--seed", "-1", "seed"),
+    ("--out", "", "output.dir"),
+]
+
+
+@pytest.mark.parametrize("option, value, key", OVERRIDES)
+@pytest.mark.parametrize("command", [["run"], ["ineq", "--count", "1"],
+                                     ["sweep", "--l", "2"]])
+def test_rejected_override_is_usage_error(tmp_path, monkeypatch, capsys,
+                                          command, option, value, key):
+    # both used to pass the checks: --seed -1 ended in an `error` manifest
+    # and numpy's traceback, --out "" in os.makedirs("")
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    given = ["--out", "out"] if option != "--out" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], cfg, *given, option, value] + command[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] \
+        == [err.splitlines()[-1]]
+    assert err.splitlines()[-1].startswith(
+        f"taxisim {command[0]}: error: argument {option}: {key} ")
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("line, key", [
+    ("seed = -1", "seed"),
+    ("output.dir =", "output.dir"),
+])
+def test_rejected_config_value_is_usage_error(tmp_path, monkeypatch, capsys,
+                                              line, key):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG + line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"taxisim run: error: {path}: {key} must "
+        + ("be an integer >= 0, got -1" if key == "seed" else "not be empty"))
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 # per study: the library function, the option that holds its values and
 # how one value parses (float, not _floats: a non-finite value reaches it)
 LIBRARY = {
@@ -279,11 +364,20 @@ LIBRARY = {
 @pytest.mark.parametrize("bad", [bad for bad in IMPOSSIBLE + COLLIDING
                                  if bad[0] in STUDIES]
                          + [bad for bad in IMPOSSIBLE
-                            if bad[0] in ("--p", "--eta")])
+                            if bad[0] in ("--p", "--eta")]
+                         + [[option, value] for option, value, _ in OVERRIDES])
 def test_library_rejects_what_cli_rejects(tmp_path, bad):
     # the CLI states no rule of its own: a study argument it rejects, the
     # study rejects too, before its output directory exists; an ineq list
-    # it rejects, `inequalities.check_lists` rejects (the other list valid)
+    # it rejects, `inequalities.check_lists` rejects (the other list valid);
+    # an override it rejects, RunConfig rejects under `dataclasses.replace`
+    if bad[0] in ("--seed", "--out"):
+        option, value, key = next(o for o in OVERRIDES if o[0] == bad[0])
+        field = {"--seed": ("seed", int), "--out": ("out_dir", str)}[option]
+        cfg = load_config(write_config_2d(tmp_path))
+        with pytest.raises(ValueError, match=f"^{key} "):
+            dataclasses.replace(cfg, **{field[0]: field[1](value)})
+        return
     if bad[0] in ("--p", "--eta"):
         option, raw = bad
         lists = {"--p": [1.0], "--eta": [1.0],

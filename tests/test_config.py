@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -151,6 +152,16 @@ class TestReplace:
         ({"T": -1.0}, "time.T"),
         ({"snapshot_times": (0.1, 0.1000001)}, "output.snapshot_times"),
         ({"p_list": (2.0, 2.0)}, "diagnostics.p_list"),
+        # each passed before and died in the run, after the output
+        # directory existed, or in os.makedirs("")
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"out_dir": ""}, "output.dir"),
+        ({"T": math.inf}, "time.T"),
+        ({"T": math.nan}, "time.T"),
+        ({"sample_interval": math.inf}, "diagnostics.sample_interval"),
+        ({"sample_interval": math.nan}, "diagnostics.sample_interval"),
     ])
     def test_rejected_naming_key(self, change, key):
         with pytest.raises(ValueError, match=f"^{key}"):
@@ -178,6 +189,21 @@ class TestReplace:
                         model=ModelParams(l=2.0, epsilon=0.01), T=1.0,
                         preset="constant", sample_interval=0.01)
         assert cfg == parse_config(MINIMAL)
+
+
+class TestRunInputs:
+    @pytest.mark.parametrize("line, message", [
+        ("seed = -1", "seed must be an integer >= 0, got -1"),
+        ("output.dir =", "output.dir must not be empty"),
+    ])
+    def test_rejected_at_parse(self, line, message):
+        with pytest.raises(ConfigError, match=f"^<config>: {message}$"):
+            parse_config(MINIMAL + line + "\n")
+
+    def test_accepted(self):
+        cfg = parse_config(MINIMAL + "seed = 0\noutput.dir = o\n")
+        assert (cfg.seed, cfg.out_dir) == (0, "o")
+        assert dataclasses.replace(cfg, seed=2 ** 70).seed == 2 ** 70
 
 
 class TestNonFinite:

@@ -182,6 +182,85 @@ class TestIneq64EtaSequence:
             check_ineq_64(phi, ScalarField.full(g, 1.0), 1.0, etas)
 
 
+GRIDS = [grid1d(48), Grid(Domain((1.0, 1.5)), (24, 20))]
+
+
+def no_face_pass(*args, **kwargs):
+    raise AssertionError("face pass started")
+
+
+class TestPSequence:
+    PS = (1.0, 2.0, 2.5, 1.0)
+    ETAS = (0.1, 1.0, 0.37)
+
+    @staticmethod
+    def pairs(grid):
+        pairs = cosine_family(grid, 4, seed=37)
+        return pairs + [(pairs[0][0], ScalarField.full(grid, 1.5))]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
+    def test_ineq61_matches_scalar_calls(self, grid):
+        for i, (phi, psi) in enumerate(self.pairs(grid)):
+            reports = check_ineq_61(phi, psi, self.PS, field_seed=i)
+            assert len(reports) == len(self.PS)
+            for p, rep in zip(self.PS, reports):
+                assert_same_report(
+                    rep, check_ineq_61(phi, psi, p, field_seed=i))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
+    def test_ineq64_matches_scalar_calls_p_major(self, grid):
+        for i, (phi, psi) in enumerate(self.pairs(grid)):
+            reports = check_ineq_64(phi, psi, self.PS, self.ETAS,
+                                    field_seed=i)
+            expected = [check_ineq_64(phi, psi, p, eta, field_seed=i)
+                        for p in self.PS for eta in self.ETAS]
+            assert len(reports) == len(expected)
+            for rep, ref in zip(reports, expected):
+                assert_same_report(rep, ref)
+        # the last pair has a flat psi: the lhs == 0 branch
+        assert all(r.lhs == 0.0 and r.ratio == 0.0 for r in reports)
+
+    def test_ineq64_p_sequence_with_scalar_eta(self):
+        (phi, psi), = cosine_family(grid1d(32), 1, seed=3)
+        reports = check_ineq_64(phi, psi, np.array([1.0, 3.0]), 0.5)
+        assert [r.params for r in reports] == [{"p": 1.0, "eta": 0.5},
+                                               {"p": 3.0, "eta": 0.5}]
+        assert isinstance(check_ineq_61(phi, psi, np.float64(2.0)),
+                          IneqReport)
+        assert len(check_ineq_61(phi, psi, [2.0])) == 1
+
+    @pytest.mark.parametrize("ps", [(), [1.0, 0.5], (2.0, math.nan),
+                                    (1.0, math.inf)])
+    @pytest.mark.parametrize("check", [
+        lambda phi, psi, ps: check_ineq_61(phi, psi, ps),
+        lambda phi, psi, ps: check_ineq_64(phi, psi, ps, 1.0),
+    ], ids=["6.1", "6.4"])
+    def test_bad_p_raises_before_any_work(self, monkeypatch, check, ps):
+        monkeypatch.setattr(inequalities, "face_sums", no_face_pass)
+        g = grid1d(8)
+        phi = ScalarField.full(g, -1.0)  # would fail the positivity check
+        with pytest.raises(ValueError, match="^p: "):
+            check(phi, ScalarField.full(g, 1.0), ps)
+
+    @pytest.mark.parametrize("ps", [(2.0,), (1.0, 2.0, 2.5, 1.0)])
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
+    def test_face_passes_per_pair(self, monkeypatch, grid, ps):
+        # (6.1): one face pass whatever |p|; (6.4): the quartic quotient's
+        # pass and one per p, whatever |eta|
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return face_sums(*args, **kwargs)
+
+        monkeypatch.setattr(inequalities, "face_sums", counted)
+        (phi, psi), = cosine_family(grid, 1, seed=41)
+        check_ineq_61(phi, psi, ps)
+        assert len(calls) == 1
+        check_ineq_64(phi, psi, ps, self.ETAS)
+        assert len(calls) == 1 + 1 + len(ps)
+
+
 def reference_ineq64(phi, psi, p, eta):
     """(lhs, rhs terms, ratio) of (6.4) with the quartic quotient formed by
     numpy's `**` (gs ** 4 / ms ** 3 * w) instead of the product kernel that
