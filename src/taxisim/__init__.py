@@ -8,6 +8,7 @@ __version__ = "0.1.0"
 from .grid import (  # noqa: F401
     Domain,
     Grid,
+    GridBatch,
     ScalarField,
     integrate,
     laplacian,
@@ -23,7 +24,13 @@ from .model import (  # noqa: F401
     regularize_initial,
     stability_dt,
 )
-from .stepper import StepControl, StepFailure, run_until, step  # noqa: F401
+from .stepper import (  # noqa: F401
+    StepControl,
+    StepFailure,
+    run_batch,
+    run_until,
+    step,
+)
 from .diagnostics import (  # noqa: F401
     FunctionalRecord,
     dissipations,

@@ -5,11 +5,15 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import sys
+import threading
 import time
 
 from .config import ConfigError, _finite, labels, load_config
 from .experiments import (
+    Terminated,
+    check_out_dir,
     continuation_children,
     epsilon_continuation,
     l_sweep,
@@ -119,7 +123,34 @@ def main(argv=None) -> int:
         _check(cfg, args)
     except ValueError as exc:
         usage.error(f"argument --{exc}")
+    try:
+        check_out_dir(cfg.out_dir)
+    except OSError as exc:
+        what = f"{exc.filename} {exc.strerror}"
+        usage.error(f"argument --out: {what}" if args.out is not None
+                    else f"{args.config}: output.dir {what}")
 
+    # SIGTERM (kill, timeout, batch schedulers) ends the command as Ctrl-C
+    # does, so that its manifest is finalized ("terminated") and its files
+    # are flushed; only the main thread may set a handler
+    if threading.current_thread() is not threading.main_thread():
+        return _dispatch(cfg, args)
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _dispatch(cfg, args)
+    except Terminated:
+        print(f"{usage.prog}: terminated", file=sys.stderr)
+        return 128 + signal.SIGTERM
+    finally:
+        signal.signal(signal.SIGTERM,
+                      signal.SIG_DFL if previous is None else previous)
+
+
+def _terminate(signum, frame):
+    raise Terminated(f"signal {signum}")
+
+
+def _dispatch(cfg, args) -> int:
     if args.command == "run":
         res = run_scenario(cfg)
         print(f"run finished: status={res.manifest['status']} "

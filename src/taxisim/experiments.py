@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import datetime as _dt
+import errno
+import functools
 import json
 import math
 import os
@@ -18,11 +20,13 @@ from .diagnostics import full_record, write_series, write_series_header
 from .grid import Domain, Grid, ScalarField, lp_norm, write_field
 from .model import State, regularize_initial, rhs_arrays, stability_dt
 from .presets import make_initial
-from .stepper import StepFailure, run_until
+from .stepper import StepFailure, run_batch, run_until
 from . import mms
 
 __all__ = [
     "RunResult",
+    "Terminated",
+    "check_out_dir",
     "recorded",
     "run_scenario",
     "continuation_children",
@@ -68,6 +72,28 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+class Terminated(KeyboardInterrupt):
+    """SIGTERM as an exception, which `recorded` finalizes as "terminated".
+    The library installs no signal handler; `taxisim.cli.main` does."""
+
+
+def check_out_dir(out_dir) -> None:
+    """Raise what `os.makedirs(out_dir, exist_ok=True)` would, but first and
+    with a message: FileExistsError if `out_dir` exists and is not a
+    directory, NotADirectoryError if a file lies on its path.  The error's
+    `filename` is `out_dir` and its `strerror` says what is wrong."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if os.path.isdir(path):
+        return
+    if path == os.path.abspath(out_dir):
+        raise FileExistsError(errno.EEXIST, "exists and is not a directory",
+                              out_dir)
+    raise NotADirectoryError(
+        errno.ENOTDIR, f"lies under {path}, which is not a directory", out_dir)
+
+
 @contextlib.contextmanager
 def recorded(out_dir, config: RunConfig, **fields):
     """Make `out_dir` and yield its manifest and the list of files written.
@@ -75,9 +101,12 @@ def recorded(out_dir, config: RunConfig, **fields):
     The manifest (config echo, version, start time and `fields`) is written
     with status "running" on entry and finalized however the block ends:
     "success" unless the block set another status, "error" (any exception,
-    recorded as "Type: message" and re-raised) or "interrupted"
-    (KeyboardInterrupt, re-raised).  Its `files` are what the block put in
-    the yielded list, then "manifest.json"."""
+    recorded as "Type: message" and re-raised), "terminated" (`Terminated`,
+    re-raised) or "interrupted" (KeyboardInterrupt, re-raised).  Its `files`
+    are what the block put in the yielded list, then "manifest.json".  An
+    `out_dir` that cannot be a directory raises (see `check_out_dir`)
+    before anything is made."""
+    check_out_dir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"config": dataclasses.asdict(config), "version": __version__,
                 "started": _now(), "status": "running", **fields}
@@ -94,8 +123,9 @@ def recorded(out_dir, config: RunConfig, **fields):
         yield manifest, files
         if manifest["status"] == "running":
             manifest["status"] = "success"
-    except KeyboardInterrupt:
-        manifest["status"] = "interrupted"
+    except KeyboardInterrupt as exc:
+        manifest["status"] = ("terminated" if isinstance(exc, Terminated)
+                              else "interrupted")
         raise
     except Exception as exc:
         manifest.update(status="error", error=_describe(exc))
@@ -281,12 +311,6 @@ def _mms_initial(grid: Grid) -> State:
                  v=ScalarField(grid, mms.exact_v(xc, 0.0)))
 
 
-def _mms_config_run(config: RunConfig, grid: Grid, source,
-                    dt_max: float | None = None) -> State:
-    return run_until(_mms_initial(grid), config.T, config.model,
-                     config.step_control(), source=source, dt_max=dt_max)
-
-
 def refinement_grids(n_list) -> list[Grid]:
     """The unit-interval grids of `refinement_study`, one per size.  A
     ValueError names "n" unless `n_list` is a doubling sequence at least two
@@ -316,22 +340,9 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
                 f"manufactured source residual {residual:.3e} exceeds "
                 f"{MMS_RESIDUAL_TOL:g}; refusing to run the study")
 
-        errors = []
-        for grid in grids:
-            xc = grid.centers(0)
-            # the forcing pair is one block per step, in buffers of the grid
-            final = _mms_config_run(config, grid, mms.forcing(l, xc))
-            eu = lp_norm(ScalarField(grid, final.u.values - mms.exact_u(xc, config.T)), 2.0)
-            ev = lp_norm(ScalarField(grid, final.v.values - mms.exact_v(xc, config.T)), 2.0)
-            errors.append((grid.shape[0], eu, ev))
-        spatial_orders = []
-        for (n0, eu0, ev0), (n1, eu1, ev1) in zip(errors, errors[1:]):
-            spatial_orders.append((n1, math.log2(eu0 / eu1), math.log2(ev0 / ev1)))
-
         # Temporal self-convergence on a fixed coarse grid: field differences
         # between runs at dt and dt/2 cancel the spatial error exactly.
         grid_t = grids[0]
-        src_t = mms.forcing(l, grid_t.centers(0))
         h = grid_t.h[0]
         # at most the forced run's CFL bound at t = 0, where the exact
         # pair's mobilities peak: at l >= 3 h^2/80 lies above it, and runs
@@ -342,7 +353,24 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
         dt0 = min(config.safety * h * h / 80.0,
                   stability_dt(grid_t, maxima, config.safety))
         dts = [dt0, dt0 / 2.0, dt0 / 4.0]
-        finals = [_mms_config_run(config, grid_t, src_t, dt) for dt in dts]
+        # the spatial runs, then the temporal ones, stepped as one batch
+        # with one forcing block per step
+        runs = grids + [grid_t] * len(dts)
+        finals = run_batch([_mms_initial(grid) for grid in runs], config.T,
+                           config.model, config.step_control(),
+                           dt_max=[None] * len(grids) + dts,
+                           forcing=functools.partial(mms.forcing, l))
+        errors = []
+        for grid, final in zip(grids, finals):
+            xc = grid.centers(0)
+            eu = lp_norm(ScalarField(grid, final.u.values - mms.exact_u(xc, config.T)), 2.0)
+            ev = lp_norm(ScalarField(grid, final.v.values - mms.exact_v(xc, config.T)), 2.0)
+            errors.append((grid.shape[0], eu, ev))
+        spatial_orders = []
+        for (n0, eu0, ev0), (n1, eu1, ev1) in zip(errors, errors[1:]):
+            spatial_orders.append((n1, math.log2(eu0 / eu1), math.log2(ev0 / ev1)))
+
+        finals = finals[len(grids):]
         diffs = []
         for a, b in zip(finals, finals[1:]):
             d = np.sqrt(lp_norm(ScalarField(grid_t, a.u.values - b.u.values), 2.0) ** 2

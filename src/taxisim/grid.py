@@ -8,6 +8,7 @@ vanish identically and the discrete divergence theorem holds exactly:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ import numpy as np
 __all__ = [
     "Domain",
     "Grid",
+    "GridBatch",
     "ScalarField",
     "integrate",
     "integrate_array",
@@ -75,14 +77,26 @@ class Grid:
             raise ValueError(f"shape needs at least 2 cells per axis, got {shape}")
         object.__setattr__(self, "shape", shape)
 
-    # Geometry and the hash are fixed by the fields, so each is computed on
-    # first use and kept; eq, hash, repr and pickles still see only `domain`
-    # and `shape`.
+    # Geometry, the hash and the key that equality compares are fixed by the
+    # fields, so each is computed on first use and kept; eq, hash, repr and
+    # pickles still see only `domain` and `shape`.  Equality checks identity
+    # first: `work_arrays` looks grids up twice a step.
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         return Grid, (self.domain, self.shape)
+
+    @cached_property
+    def _key(self) -> tuple:
+        return self.domain.lengths, self.shape
 
     @cached_property
     def _hash(self) -> int:
@@ -111,6 +125,24 @@ class Grid:
     def meshgrid(self) -> list[np.ndarray]:
         return list(np.meshgrid(*(self.centers(a) for a in range(self.dim)),
                                 indexing="ij"))
+
+    def _face_layout(self):
+        """What `work_arrays` lays out: no segment starts, and per axis
+        (stride, face_scaling, junk, w, {mean: rhs_scalings}), with `w` the
+        dual volumes of the flat faces and `junk` None or a slice."""
+        n, ny = self.num_cells, self.shape[-1]
+        axes = []
+        for axis, ha in enumerate(self.h):
+            stride = math.prod(self.shape[axis + 1:])
+            junk = slice(ny - 1, None, ny) if self.dim > 1 and stride == 1 else None
+            # per flat cell, the dual volume of its face towards +axis, 0 on
+            # the last cell of a line
+            w = np.append(face_quadrature(self, axis), 0.0).repeat(stride)
+            w = np.tile(w, n // w.size)[:n - stride]
+            w.flags.writeable = False
+            axes.append((stride, face_scaling(ha), junk, w,
+                         {mean: rhs_scalings(ha, mean) for mean in _MEANS}))
+        return None, axes
 
 
 _FLOAT64 = np.dtype(np.float64)
@@ -225,17 +257,20 @@ class WorkArrays(NamedTuple):
     # per axis, flat: (scale, lo, hi, junk, w, faces), with `scale` the
     # axis's `face_scaling`, `w` the read-only dual volumes and `faces` the
     # flux block's u and v faces, then views of the five rows; `junk` is
-    # None without junk faces
+    # None without junk faces, and a batch has index `junk` and no `scale`
+    # or `w` (None)
     axes: tuple
     # per axis, views of the flux block: [s, 2N), [s, 2N + s) and [0, 2N)
     flux: tuple
     # five rows, shaped (5, cells), which hold no margin
     rows: np.ndarray
     # the step's (du, dv) block, shaped (2, *shape); only `stepper.step`
-    # writes it
+    # and `stepper.run_batch` write it
     duv: np.ndarray
     # per face mean, per axis, the step's `rhs_scalings`
     scalings: dict
+    # None, or for a `GridBatch` the first cell of each grid
+    starts: np.ndarray | None
 
 
 def face_scaling(h: float) -> tuple:
@@ -273,36 +308,110 @@ def rhs_scalings(h: float, mean: str) -> tuple:
     return face_scaling(h), 1.0, face_scaling(h / c), face_scaling(h)
 
 
+_MEANS = ("arithmetic", "harmonic")
+
+
+@dataclass(frozen=True)
+class GridBatch:
+    """1D grids end to end on one flat axis, so that one `model.rhs_arrays`
+    call serves a step of several runs (`stepper.run_batch`).
+
+    Where one grid ends and the next begins lies a junk face, zeroed as on
+    2D's last axis.  Each constant of `rhs_scalings` becomes a per-face
+    array of each grid's own constant (k one per grid), and a ufunc applied
+    to an array of identical doubles gives the bits of the scalar call, so
+    every grid must take the same `rhs_scalings` branch.  The batch's work
+    arrays (`work`) are built by `work_arrays`' code but kept here, out of
+    its cache; they have no face quadrature, so `face_sums` takes grids
+    only."""
+
+    grids: tuple[Grid, ...]
+    dim = 1
+
+    def __post_init__(self) -> None:
+        grids = tuple(self.grids)
+        if not grids or any(g.dim != 1 for g in grids):
+            raise ValueError("a grid batch needs one or more 1D grids")
+        kinds = {tuple((grad and grad[0], su[0], sv[0]) for grad, _, su, sv
+                       in (rhs_scalings(g.h[0], mean) for mean in _MEANS))
+                 for g in grids}
+        if len(kinds) > 1:
+            raise ValueError("the grids of a batch must take one branch of "
+                             "rhs_scalings: h a power of two in all or none")
+        object.__setattr__(self, "grids", grids)
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(g.shape[0] for g in self.grids)
+
+    @cached_property
+    def starts(self) -> tuple[int, ...]:
+        return tuple(itertools.accumulate(self.sizes, initial=0))[:-1]
+
+    @cached_property
+    def shape(self) -> tuple[int]:
+        return (sum(self.sizes),)
+
+    @property
+    def num_cells(self) -> int:
+        return self.shape[0]
+
+    @cached_property
+    def work(self) -> "WorkArrays":
+        return work_arrays.__wrapped__(self)
+
+    def _face_layout(self):
+        """As `Grid._face_layout`, for one axis of stride 1 with per-face
+        scalings and no face quadrature."""
+        n, sizes = self.num_cells, self.sizes
+        ends = np.array(self.starts[1:], dtype=np.intp)
+        # the u faces, the margin between the rows and the v faces are one
+        # flat run of 2n - 1 values; junk u face i - 1 is junk v face n + i - 1
+        junk = np.concatenate((ends - 1, ends - 1 + n))
+
+        def per_face(ks):  # each grid's constant on its faces and the junk after
+            return np.repeat(ks, sizes)[:-1]
+
+        scalings = {}
+        for mean in _MEANS:
+            grid_rows = [rhs_scalings(g.h[0], mean) for g in self.grids]
+            grad, _, (su, _), (sv, _) = grid_rows[0]
+            if grad is not None:  # it scales the u faces, margin and v faces
+                hs = per_face([row[0][1] for row in grid_rows])
+                grad = grad[0], np.concatenate((hs, [1.0], hs))
+            scalings[mean] = (
+                grad, np.array([row[1] for row in grid_rows]),
+                (su, per_face([row[2][1] for row in grid_rows])),
+                (sv, per_face([row[3][1] for row in grid_rows])))
+        return np.array(self.starts, dtype=np.intp), [(1, None, junk, None,
+                                                       scalings)]
+
+
 @functools.lru_cache(maxsize=4)
 def work_arrays(grid: Grid) -> WorkArrays:
     """The grid's work arrays, allocated on first use and then reused, so
     neither a step nor a face pass allocates field-sized temporaries.  Calls
-    on one grid must not run concurrently in threads of one process."""
+    on one grid must not run concurrently in threads of one process.  A
+    `GridBatch` keeps its own (`GridBatch.work`), built by this code."""
     def zeros(size, first=0):  # element `first` starts a 64-byte line
         raw = np.zeros(size + 8)
         return raw[-(raw.__array_interface__["data"][0] // 8 + first) % 8:][:size]
-    n, ny = grid.num_cells, grid.shape[-1]
+    n = grid.num_cells
     rows = zeros(5 * n).reshape(5, n)
+    starts, layout = grid._face_layout()
     axes, flux = [], []
-    for axis, ha in enumerate(grid.h):
-        stride = math.prod(grid.shape[axis + 1:])
+    for stride, scale, junk, w, _ in layout:
         nf = n - stride
         block = zeros(2 * n + stride, stride)
-        junk = slice(ny - 1, None, ny) if grid.dim > 1 and stride == 1 else None
-        # per flat cell, the dual volume of its face towards +axis, 0 on the
-        # last cell of a line
-        w = np.append(face_quadrature(grid, axis), 0.0).repeat(stride)
-        w = np.tile(w, n // w.size)[:nf]
-        w.flags.writeable = False
-        axes.append((face_scaling(ha), slice(None, nf), slice(stride, None),
-                     junk, w, (block[stride:n], block[n + stride:2 * n])
+        axes.append((scale, slice(None, nf), slice(stride, None), junk, w,
+                     (block[stride:n], block[n + stride:2 * n])
                      + tuple(r[:nf] for r in rows)))
         flux.append((block[stride:2 * n], block[stride:], block[:2 * n]))
-    scalings = {mean: tuple(rhs_scalings(ha, mean) for ha in grid.h)
-                for mean in ("arithmetic", "harmonic")}
+    scalings = {mean: tuple(axis[4][mean] for axis in layout)
+                for mean in _MEANS}
     return WorkArrays(*(r.reshape(grid.shape) for r in rows[2:]), tuple(axes),
                       tuple(flux), rows, zeros(2 * n).reshape(2, *grid.shape),
-                      scalings)
+                      scalings, starts)
 
 
 def face_sums(grid: Grid, integrand, grads=(), means=()) -> list[float]:

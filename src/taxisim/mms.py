@@ -31,12 +31,16 @@ def exact_v(x, t):
     return 2.0 + np.cos(np.pi * x) * np.exp(-t) / 2.0
 
 
-def forcing(l: float, x):
+def forcing(l: float, x, sizes=None):
     """The forcing that makes the exact pair solve the forced system for
     exponent l, at the positions `x` (a scalar or an array), as a function
     of t: ``source(t)`` returns the ``(2, *x.shape)`` block whose rows are
     f_u and f_v.  The block and its work arrays are made here, once, and
     each call overwrites them.
+
+    With `sizes`, `x` holds the cells of several grids end to end, as a
+    `GridBatch` does, and ``source(ts)`` takes one time per grid: each
+    grid's rows are bit for bit those of ``forcing(l, its x)(its t)``.
 
     With h = cos(pi x) e^{-t} / 2 (u* = 2 + 2h, v* = 2 + h) and g = u*_x^2:
     f_u = u*^(l-2) [g v* (1 + l h) + u* h (g/2 - 2 pi^2 v* h)] - 2h - u* v*
@@ -48,14 +52,22 @@ def forcing(l: float, x):
     # `[i, ...]` keeps each row an array when x is a scalar (0-d)
     fu, fv = block[0, ...], block[1, ...]
     h, v, u, uv, g, a, b = (np.empty(shape) for _ in range(7))
+    if sizes is not None:
+        sizes = np.array(sizes)
 
     def source(t):
-        e = math.exp(-t)
-        np.multiply(c, 0.5 * e, out=h)
+        if sizes is None:
+            e = math.exp(-t)
+            he, ge = 0.5 * e, _PI2 * e * e
+        else:  # libm's exp per grid, as above, then spread over its cells
+            es = [math.exp(-ti) for ti in t]
+            he, ge = np.array([[0.5 * e for e in es],
+                               [_PI2 * e * e for e in es]]).repeat(sizes, axis=1)
+        np.multiply(c, he, out=h)
         np.add(h, 2.0, out=v)
         np.add(h, v, out=u)
         np.multiply(u, v, out=uv)
-        np.multiply(s2, _PI2 * e * e, out=g)
+        np.multiply(s2, ge, out=g)
         # the bracket, g v* (l h + 1) + u* h (g/2 - 2 pi^2 v* h), into fu
         np.multiply(g, v, out=fu)
         np.multiply(h, l, out=a)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, WorkArrays, work_arrays
+from .grid import Grid, GridBatch, ScalarField, WorkArrays, work_arrays
 
 __all__ = [
     "ModelParams",
@@ -28,8 +28,12 @@ __all__ = [
 
 # The reductions of the step, called directly: `a.max()` and its kin pass
 # through numpy's Python wrappers to these same calls.  Each reduces a flat
-# array, or the whole of a multi-axis one with `axis=None`.
+# array, or the whole of a multi-axis one with `axis=None`.  The `_at`
+# forms reduce each segment of a `GridBatch`: max and min do not depend on
+# the order, so they are exact, but a sum does (`np.add.reduceat` adds
+# sequentially), so a batch sums each segment's slice on its own.
 _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+_max_at, _min_at = np.maximum.reduceat, np.minimum.reduceat
 
 
 class InvalidInitialData(ValueError):
@@ -114,8 +118,8 @@ def _coefficients(u: np.ndarray, v: np.ndarray, params: ModelParams,
     return cd, ct
 
 
-def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
-               source=None, out=None
+def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid | GridBatch,
+               params: ModelParams, source=None, out=None
                ) -> tuple[np.ndarray, tuple[float, float, float]]:
     """Array-level right-hand side; `source` is an optional (f_u, f_v)
     pair, such as a ``(2, *grid.shape)`` block, added in one call.
@@ -127,8 +131,12 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
     place in the axis's flux block (see `WorkArrays`; the scalings are the
     axis's `rhs_scalings`), which less itself shifted by the stride is each
     cell's net flux.  u*v is left in the `uv` work row.
+
+    For a `GridBatch` the arrays hold its grids end to end, and each
+    maximum is an array with one value per grid.
     """
-    work = work_arrays(grid)
+    work = work_arrays(grid) if type(grid) is Grid else grid.work
+    starts = work.starts
     coef_d, coef_t = _coefficients(u, v, params, work)
     harmonic = params.face_mean == "harmonic"
     if grid.dim > 1:
@@ -147,7 +155,10 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
             grad[0](faces, grad[1], out=faces)  # faces /= h
         # max|d| / h is max|d / h| bit for bit: rounding is monotone and
         # odd, and k is 1.0 or an exact 1/h
-        gv_max = max(gv_max, k * _max(gv), -k * _min(gv))
+        if starts is None:
+            gv_max = max(gv_max, k * _max(gv), -k * _min(gv))
+        else:  # k per grid; a junk face's 0 is below each grid's max|d|
+            gv_max = k * np.fmax(_max_at(gv, starts), -_min_at(gv, starts))
         d0, d1 = coef_d[lo], coef_d[hi]
         t0, t1 = coef_t[lo], coef_t[hi]
         # flux = mean(coef_d) * gu - mean(coef_t) * gv, in place of gu, with
@@ -179,6 +190,8 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid, params: ModelParams,
     dv -= work.uv
     if source is not None:
         out += source
+    if starts is not None:
+        return out, (_max_at(coef_d, starts), _max_at(coef_t, starts), gv_max)
     return out, (float(_max(coef_d)), float(_max(coef_t)), float(gv_max))
 
 

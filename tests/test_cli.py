@@ -2,6 +2,11 @@ import dataclasses
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -513,3 +518,100 @@ def test_every_command_finalizes_manifest(tmp_path, monkeypatch, command,
     assert manifest["files"][-1] == "manifest.json"
     assert manifest.get("error") == ("RuntimeError: disk on fire"
                                      if exc_type is RuntimeError else None)
+
+
+@pytest.mark.parametrize("command", list(LIFECYCLE))
+def test_terminated_command_exits_143(tmp_path, monkeypatch, capsys,
+                                      command):
+    # what the SIGTERM handler raises: the manifest is finalized and main
+    # returns 128 + SIGTERM
+    extra, (module, name) = LIFECYCLE[command]
+
+    def fail(*args, **kwargs):
+        raise experiments.Terminated("signal 15")
+
+    monkeypatch.setattr(module, name, fail)
+    out = str(tmp_path / "out")
+    before = signal.getsignal(signal.SIGTERM)
+    assert main([command, write_config(tmp_path), "--out", out] + extra) == 143
+    assert signal.getsignal(signal.SIGTERM) is before
+    manifest = read_manifest(out)
+    assert manifest["status"] == "terminated"
+    assert manifest["started"] <= manifest["finished"]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"taxisim {command}: terminated")
+
+
+def test_sigterm_finalizes_run(tmp_path):
+    # SIGTERM's default action skipped every `finally`: the manifest stayed
+    # "running" and series.csv held none of its buffered rows
+    path = tmp_path / "long.cfg"
+    path.write_text(CONFIG.replace("nx = 32", "nx = 256")
+                    .replace("time.T = 0.02", "time.T = 100"))
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "taxisim.cli", "run", str(path), "--out",
+         str(out)], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out / "series.csv").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 143
+    assert err.splitlines()[-1] == "taxisim run: terminated"
+    manifest = read_manifest(str(out))
+    assert manifest["status"] == "terminated"
+    assert manifest["started"] <= manifest["finished"]
+    assert (out / "series.csv").read_text().startswith("t,mass_u,")
+
+
+def test_main_outside_main_thread(tmp_path):
+    # only the main thread may set a signal handler; elsewhere main runs
+    # without one
+    codes = []
+    out = str(tmp_path / "out")
+    worker = threading.Thread(target=lambda: codes.append(
+        main(["run", write_config(tmp_path), "--out", out])))
+    worker.start()
+    worker.join()
+    assert codes == [0]
+    assert read_manifest(out)["status"] == "success"
+
+
+@pytest.mark.parametrize("command", [["run"], ["refine", "--n", "16,32"],
+                                     ["sweep", "--l", "2"]])
+@pytest.mark.parametrize("given", ["option", "config"])
+@pytest.mark.parametrize("under", ["", "/sub"])
+def test_out_naming_a_file_is_usage_error(tmp_path, monkeypatch, capsys,
+                                          command, given, under):
+    # os.makedirs in `recorded` ended these in a FileExistsError traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("keep")
+    path = tmp_path / "run.cfg"
+    if given == "option":
+        path.write_text(CONFIG)
+        argv = ["--out", "afile" + under]
+    else:
+        path.write_text(CONFIG + f"output.dir = afile{under}\n")
+        argv = []
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "run.cfg", *argv] + command[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] \
+        == [err.splitlines()[-1]]
+    name = "argument --out: " if given == "option" else "run.cfg: output.dir "
+    what = ("exists and is not a directory" if not under else
+            f"lies under {tmp_path / 'afile'}, which is not a directory")
+    assert err.splitlines()[-1] == (
+        f"taxisim {command[0]}: error: {name}afile{under} {what}")
+    assert sorted(os.listdir(tmp_path)) == ["afile", "run.cfg"]
+    assert (tmp_path / "afile").read_text() == "keep"

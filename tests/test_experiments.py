@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -336,6 +337,31 @@ class TestEpsilonContinuation:
             continuation_children(cfg, [0.1, 0.05])
 
 
+class TestRecorded:
+    @pytest.mark.parametrize("under, exc_type", [
+        ("", FileExistsError), ("sub", NotADirectoryError)])
+    def test_out_dir_naming_a_file(self, tmp_path, under, exc_type):
+        # the error os.makedirs raised, raised first and saying why
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        out = str(afile / under) if under else str(afile)
+        for call in (lambda: experiments.recorded(out,
+                                                  small_config()).__enter__(),
+                     lambda: run_scenario(small_config(), out)):
+            with pytest.raises(exc_type, match="not a directory") as exc:
+                call()
+            assert exc.value.filename == out
+        assert afile.read_text() == "keep"
+        assert os.listdir(tmp_path) == ["afile"]
+
+    def test_terminated(self, tmp_path):
+        with pytest.raises(experiments.Terminated):
+            with experiments.recorded(str(tmp_path), small_config()):
+                raise experiments.Terminated("signal 15")
+        manifest = check_manifest(str(tmp_path))
+        assert manifest["status"] == "terminated" and "finished" in manifest
+
+
 class TestRefinementStudy:
     def test_small_study(self, tmp_path):
         cfg = parse_config("""
@@ -373,6 +399,29 @@ init.preset = constant
         assert all(d > 0.0 for d in man["temporal_diffs"])
         (order,) = man["temporal_orders"]
         assert 0.8 <= order <= 1.2
+
+    # sha256 of refine.csv and temporal.csv, recorded at 8f502d8, where each
+    # of the six forced runs went through run_until on its own
+    GOLDEN = {
+        1.0: ("fcf8a9cc316d51810cad7f12858967016f5075c9754be54ca1fec1e92d67c706",
+              "b739f79eae78c183919161e4f7c8b1762a3c58b112ac85132d412ab7aa2f9c3a"),
+        2.0: ("ba7e5d6a0b4024f155c973626547310e06dce286318dd0a985fdb595f9634c40",
+              "4cf550e840c022f04079815e1891f19cab69bbfced38584d2e15bace3223100a"),
+    }
+
+    @pytest.mark.parametrize("l", GOLDEN)
+    def test_golden_csv_bytes(self, tmp_path, l):
+        cfg = parse_config(f"""
+grid.nx = 16
+model.l = {l}
+model.epsilon = 0.01
+time.T = 0.02
+init.preset = constant
+""")
+        refinement_study(cfg, [16, 32], str(tmp_path))
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("refine.csv", "temporal.csv"))
+        assert got == self.GOLDEN[l]
 
     def test_rejects_non_doubling(self, tmp_path):
         cfg = small_config()

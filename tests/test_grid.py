@@ -76,6 +76,25 @@ class TestDomainGrid:
         assert repr(a) == ("Grid(domain=Domain(lengths=(2.0, 1.0)), "
                            "shape=(8, 4))")
 
+    def test_lookup_with_equal_grid_skips_domain_eq(self, monkeypatch):
+        # step looks its grid up in work_arrays' cache twice; an equal but
+        # distinct grid (a new run on the same grid) compares a cached key
+        calls = []
+        eq = Domain.__eq__
+
+        def counted(self, other):
+            calls.append(other)
+            return eq(self, other)
+
+        a = Grid(Domain((2.0,)), (8,))
+        work = work_arrays(a)
+        b = Grid(Domain((2.0,)), (8,))
+        monkeypatch.setattr(Domain, "__eq__", counted)
+        assert work_arrays(b) is work
+        assert a == b and a is not b and a.domain is not b.domain
+        assert calls == []
+        assert a != Grid(Domain((2.0,)), (9,)) and a != "grid"
+
     def test_pickle_round_trip(self):
         a = Grid(Domain((2.0, 1.0)), (8, 4))
         fresh = pickle.dumps(a)

@@ -150,6 +150,24 @@ class TestForcingBlock:
                     assert isinstance(g, float)
                     assert g == b == w
 
+    @pytest.mark.parametrize("l", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+    def test_per_segment_times(self, l):
+        # grids end to end, one time each: every grid's rows are those of
+        # its own source at its own time
+        sizes = (32, 64, 128, 32, 7, 2)
+        xs = [(np.arange(n) + 0.5) / n for n in sizes]
+        source = forcing(l, np.concatenate(xs), sizes)
+        rng = np.random.default_rng(11)
+        for ts in ([0.0] * 6, [5e-4, 0.7, 0.0, 1e-3, 2.5, 0.3],
+                   list(rng.uniform(0.0, 1.0, 6))):
+            block = source(ts)
+            assert block.shape == (2, sum(sizes))
+            a = 0
+            for x, t, n in zip(xs, ts, sizes):
+                assert block[:, a:a + n].tobytes() == forcing(l, x)(t).tobytes()
+                a += n
+        assert source(ts) is block
+
     def test_block_reused(self):
         # the study's source makes no array per step
         x = (np.arange(16) + 0.5) / 16

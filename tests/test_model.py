@@ -13,7 +13,7 @@ from taxisim import (
     regularize_initial,
     stability_dt,
 )
-from taxisim.grid import _axis_slices
+from taxisim.grid import GridBatch, _axis_slices
 from taxisim.model import rhs_arrays
 
 
@@ -234,6 +234,54 @@ class TestWorkArrays:
                                          src, out=out)
             assert got is out and got_maxima == maxima
             assert out.tobytes() == fresh.tobytes()
+
+
+class TestGridBatch:
+    """rhs_arrays over grids end to end: each grid's rows and maxima are
+    those of its own call, bit for bit."""
+
+    @pytest.mark.parametrize("l", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mean", ["arithmetic", "harmonic"])
+    @pytest.mark.parametrize("L, sizes", [(1.0, (16, 32, 2, 8)),
+                                          (10.0, (7, 48, 30)),
+                                          (1.0, (12, 24, 48))])
+    def test_segments_match_their_grids(self, l, mean, L, sizes):
+        grids = [grid1d(n, L) for n in sizes]
+        batch = GridBatch(grids)
+        params = ModelParams(l=l, epsilon=0.01, face_mean=mean)
+        states = [random_state(g, seed) for seed, g in enumerate(grids)]
+        u = np.concatenate([st.u.values for st in states])
+        v = np.concatenate([st.v.values for st in states])
+        source = np.random.default_rng(9).normal(size=(2, batch.num_cells))
+        for src in (None, source):
+            got, maxima = rhs_arrays(u, v, batch, params, src,
+                                     out=batch.work.duv)
+            for i, (g, st, a) in enumerate(zip(grids, states, batch.starts)):
+                cut = slice(a, a + g.shape[0])
+                want, want_maxima = rhs_arrays(
+                    st.u.values, st.v.values, g, params,
+                    None if src is None else src[:, cut].copy())
+                assert got[:, cut].tobytes() == want.tobytes()
+                assert tuple(m[i] for m in maxima) == want_maxima
+                assert batch.work.uv[cut].tobytes() == (
+                    st.u.values * st.v.values).tobytes()
+
+    def test_rejects_mixed_branches_and_2d(self):
+        with pytest.raises(ValueError, match="one branch of rhs_scalings"):
+            GridBatch([grid1d(16), grid1d(12)])
+        with pytest.raises(ValueError, match="1D grids"):
+            GridBatch([grid1d(16), grid2d(8)])
+        with pytest.raises(ValueError, match="1D grids"):
+            GridBatch([])
+
+    def test_layout(self):
+        batch = GridBatch([grid1d(16), grid1d(8), grid1d(32)])
+        assert batch == GridBatch((grid1d(16), grid1d(8), grid1d(32)))
+        assert hash(batch) == hash(GridBatch([grid1d(16), grid1d(8),
+                                              grid1d(32)]))
+        assert (batch.sizes, batch.starts, batch.shape) == (
+            (16, 8, 32), (0, 16, 24), (56,))
+        assert batch.work is batch.work
 
 
 # The np.diff / zeros_like forms the one-pass model replaced, kept as

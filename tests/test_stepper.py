@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -17,11 +18,13 @@ from taxisim import (
     full_record,
     integrate,
     lp_norm,
+    run_batch,
     run_until,
     step,
 )
 import taxisim.model
 import taxisim.stepper
+from taxisim import mms
 from taxisim.grid import work_arrays
 from taxisim.inequalities import check_ineq_64, cosine_family
 from taxisim.model import rhs_arrays, stability_dt
@@ -489,3 +492,161 @@ class TestTracingContract:
             st = new
         if dt_max != 1e-9:
             assert max(halvings) > 0  # the halving path was exercised
+
+
+def serial_runs(states, T, params, ctrl, caps, forcing=None):
+    """What `run_batch` replaces: each run through `run_until`, its final
+    state or its StepFailure."""
+    out = []
+    for st, cap in zip(states, caps):
+        source = forcing(st.grid.centers(0)) if forcing is not None else None
+        try:
+            out.append(run_until(st, T, params, ctrl, source=source,
+                                 dt_max=cap))
+        except StepFailure as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_state(a, b):
+    assert a.grid == b.grid
+    assert a.u.values.tobytes() == b.u.values.tobytes()
+    assert a.v.values.tobytes() == b.v.values.tobytes()
+    assert (a.t, a.cumulative_uv) == (b.t, b.cumulative_uv)
+    assert type(a.t) is type(b.t)
+    assert type(a.cumulative_uv) is type(b.cumulative_uv)
+
+
+def assert_same_results(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, StepFailure):
+            assert type(g) is StepFailure and str(g) == str(w)
+            assert_same_state(g.state, w.state)
+        else:
+            assert_same_state(g, w)
+
+
+# unequal sizes on one rhs_scalings branch each: h a power of two (1/16,
+# 1/32, 1/8), and h = 10/n
+LAYOUTS = {"pow2": (1.0, (16, 32, 8, 16)), "L10": (10.0, (16, 48, 24))}
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("with_source", [False, True])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("mean", ["arithmetic", "harmonic"])
+    @pytest.mark.parametrize("l", [1.0, 1.5, 2.0, 3.0])
+    def test_matches_run_until(self, l, mean, layout, with_source):
+        L, sizes = LAYOUTS[layout]
+        params = ModelParams(l=l, epsilon=0.01, face_mean=mean)
+        grids = [grid1d(n, L) for n in sizes]
+        # the forced runs start from the manufactured pair, as in the study
+        states = [State(u=ScalarField(g, mms.exact_u(g.centers(0), 0.0)),
+                        v=ScalarField(g, mms.exact_v(g.centers(0), 0.0)))
+                  if with_source else random_state(g, seed, 0.5, 1.5)
+                  for seed, g in enumerate(grids)]
+        states[1] = dataclasses.replace(states[1], t=0.004)
+        T = 0.01 if layout == "L10" else 0.005
+        caps = [None, 4e-4, 1e-4, None][:len(sizes)]
+        forcing = functools.partial(mms.forcing, l) if with_source else None
+        want = serial_runs(states, T, params, StepControl(), caps, forcing)
+        assert all(type(w) is State for w in want)
+        got = run_batch(states, T, params, StepControl(), dt_max=caps,
+                        forcing=forcing)
+        assert_same_results(got, want)
+        assert all(st.t == T for st in got)
+
+    def test_one_run_halves_alone(self):
+        # halving_state's CFL step drives v negative; the others', on the
+        # same rhs_scalings branch (h = 3/16 and 10/n), do not
+        ctrl = StepControl()
+        sick = halving_state(7)
+        _, maxima = rhs_arrays(sick.u.values, sick.v.values, sick.grid,
+                               PARAMS)
+        first = step(sick, PARAMS, ctrl)
+        assert first.t - sick.t < stability_dt(sick.grid, maxima)
+        states = [random_state(grid1d(24, 10.0), 1), sick,
+                  random_state(grid1d(48, 10.0), 2)]
+        T = 0.3
+        want = serial_runs(states, T, PARAMS, ctrl, [None] * 3)
+        assert_same_results(run_batch(states, T, PARAMS, ctrl), want)
+
+    def test_failing_runs_let_the_others_finish(self):
+        # run 1 cannot restore positivity without halving, run 2's cap
+        # lies below dt_min: the serial loop raises run 1's failure
+        ctrl = StepControl(max_halvings=0, dt_min=1e-6)
+        states = [random_state(grid1d(24, 10.0), 1), halving_state(7),
+                  random_state(grid1d(16, 10.0), 3),
+                  random_state(grid1d(48, 10.0), 2)]
+        caps = [None, None, 1e-7, 2e-3]
+        T = 0.3
+        want = serial_runs(states, T, PARAMS, ctrl, caps)
+        assert [type(w) for w in want] == [State, StepFailure, StepFailure,
+                                           State]
+        with pytest.raises(StepFailure) as exc:
+            run_batch(states, T, PARAMS, ctrl, dt_max=caps)
+        assert exc.value is exc.value.results[1]
+        assert_same_results(exc.value.results, want)
+        assert "positivity" in str(want[1]) and "dt_min" in str(want[2])
+
+    def test_one_rhs_call_per_batch_step(self, monkeypatch):
+        # rhs_arrays once per step of the batch, then per step of the last
+        # run; stability_dt once per step of every run; both through the
+        # stepper module's names, where the benchmark's tracer finds them
+        calls = {"rhs_arrays": 0, "stability_dt": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        states = [random_state(grid1d(n), seed)
+                  for seed, n in enumerate((16, 32, 8))]
+        T, caps = 0.005, [None, None, 5e-5]
+        steps = []
+        for st, cap in zip(states, caps):
+            seen = []
+            run_until(st, T, PARAMS, StepControl(), observer=seen.append,
+                      dt_max=cap)
+            steps.append(len(seen))
+        monkeypatch.setattr(taxisim.stepper, "rhs_arrays",
+                            counted("rhs_arrays", rhs_arrays))
+        monkeypatch.setattr(taxisim.stepper, "stability_dt",
+                            counted("stability_dt", stability_dt))
+        run_batch(states, T, PARAMS, StepControl(), dt_max=caps)
+        assert len(set(steps)) == 3
+        assert calls == {"rhs_arrays": max(steps), "stability_dt": sum(steps)}
+
+    def test_grids_keep_their_cached_work_arrays(self):
+        # the batches' work arrays live outside work_arrays' cache of 4, so
+        # the last run's steps find its grid's entry still there
+        grids = [grid1d(n) for n in (8, 16, 32, 64)]
+        work_arrays.cache_clear()
+        for g in grids:
+            work_arrays(g)
+        misses = work_arrays.cache_info().misses
+        states = [random_state(g, seed) for seed, g in enumerate(grids)]
+        run_batch(states, 0.002, PARAMS, StepControl())
+        info = work_arrays.cache_info()
+        assert (info.misses, info.currsize) == (misses, 4)
+
+    def test_finished_single_and_no_runs(self):
+        st = random_state(grid1d(16), 0)
+        done = dataclasses.replace(st, t=0.01)
+        got = run_batch([done, st], 0.01, PARAMS, StepControl())
+        assert got[0] is done
+        assert_same_state(got[1], run_until(st, 0.01, PARAMS, StepControl()))
+        assert run_batch([], 0.01, PARAMS, StepControl()) == []
+
+    @pytest.mark.parametrize("T, caps, match", [
+        (math.nan, None, "T must be finite"),
+        (0.01, [None], "1 caps for 2 runs"),
+        (0.01, [None, 0.0], "dt_max must be positive"),
+        (-1.0, None, "lies before state time"),
+    ])
+    def test_rejects_bad_limits(self, T, caps, match):
+        states = [random_state(grid1d(16), 0), random_state(grid1d(8), 1)]
+        with pytest.raises(ValueError, match=match):
+            run_batch(states, T, PARAMS, StepControl(), dt_max=caps)
