@@ -365,11 +365,12 @@ class GridBatch:
         scalings and no face quadrature."""
         n, sizes = self.num_cells, self.sizes
         ends = np.array(self.starts[1:], dtype=np.intp)
-        # the u faces, the margin between the rows and the v faces are one
-        # flat run of 2n - 1 values; junk u face i - 1 is junk v face n + i - 1
+        # u faces, a margin value and v faces are one flat run of 2n - 1
+        # values: the faces before a grid's first cell i are i - 1 (u) and
+        # n + i - 1 (v)
         junk = np.concatenate((ends - 1, ends - 1 + n))
 
-        def per_face(ks):  # each grid's constant on its faces and the junk after
+        def per_face(ks):  # each grid's constant on its faces and next junk
             return np.repeat(ks, sizes)[:-1]
 
         scalings = {}

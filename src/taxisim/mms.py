@@ -62,7 +62,8 @@ def forcing(l: float, x, sizes=None):
         else:  # libm's exp per grid, as above, then spread over its cells
             es = [math.exp(-ti) for ti in t]
             he, ge = np.array([[0.5 * e for e in es],
-                               [_PI2 * e * e for e in es]]).repeat(sizes, axis=1)
+                               [_PI2 * e * e for e in es]]
+                              ).repeat(sizes, axis=1)
         np.multiply(c, he, out=h)
         np.add(h, 2.0, out=v)
         np.add(h, v, out=u)

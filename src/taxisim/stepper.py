@@ -184,12 +184,13 @@ def run_batch(states, T: float, params: ModelParams, ctrl: StepControl,
                 pending = [j for j in pending if not dts[j] < ctrl.dt_min]
                 new = duv * np.array(dts).repeat(sizes)
                 new += block
-                if _min(new, axis=None) > 0.0 and _max(new, axis=None) < np.inf:
+                if _acceptable(new):
                     pending = []
-                else:  # the test of `_acceptable`, per run
-                    ok = ((_min_at(new, starts, axis=1).min(axis=0) > 0.0)
-                          & (_max_at(new, starts, axis=1).max(axis=0) < np.inf))
-                    pending = [j for j in pending if not ok[j]]
+                else:  # the same test per run
+                    lo = _min_at(new, starts, axis=1).min(axis=0)
+                    hi = _max_at(new, starts, axis=1).max(axis=0)
+                    pending = [j for j in pending
+                               if not (lo[j] > 0.0 and hi[j] < np.inf)]
                 if not pending:
                     break
                 for j in pending:
