@@ -130,7 +130,6 @@ _KNOWN = {
     "model.l": ("finite float", None),
     "model.epsilon": ("finite float", None),
     "model.b": ("finite float", None),
-    "model.face_mean": ("str", None),
     "time.T": ("finite float", "T"),
     "time.safety": ("finite float", "safety"),
     "time.dt_min": ("finite float", "dt_min"),

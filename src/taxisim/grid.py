@@ -128,7 +128,7 @@ class Grid:
 
     def _face_layout(self):
         """What `work_arrays` lays out: no segment starts, and per axis
-        (stride, face_scaling, junk, w, {mean: rhs_scalings}), with `w` the
+        (stride, face_scaling, junk, w, rhs_scalings), with `w` the
         dual volumes of the flat faces and `junk` None or a slice."""
         n, ny = self.num_cells, self.shape[-1]
         axes = []
@@ -140,8 +140,7 @@ class Grid:
             w = np.append(face_quadrature(self, axis), 0.0).repeat(stride)
             w = np.tile(w, n // w.size)[:n - stride]
             w.flags.writeable = False
-            axes.append((stride, face_scaling(ha), junk, w,
-                         {mean: rhs_scalings(ha, mean) for mean in _MEANS}))
+            axes.append((stride, face_scaling(ha), junk, w, rhs_scalings(ha)))
         return None, axes
 
 
@@ -267,8 +266,8 @@ class WorkArrays(NamedTuple):
     # the step's (du, dv) block, shaped (2, *shape); only `stepper.step`
     # and `stepper.run_batch` write it
     duv: np.ndarray
-    # per face mean, per axis, the step's `rhs_scalings`
-    scalings: dict
+    # per axis, the step's `rhs_scalings`
+    scalings: tuple
     # None, or for a `GridBatch` the first cell of each grid
     starts: np.ndarray | None
 
@@ -284,31 +283,25 @@ def face_scaling(h: float) -> tuple:
     return np.true_divide, h
 
 
-def rhs_scalings(h: float, mean: str) -> tuple:
+def rhs_scalings(h: float) -> tuple:
     """How `model.rhs_arrays` scales one axis's faces: (grad, k, su, sv).
 
-    The face means are left unhalved (arithmetic d0 + d1, harmonic
-    d0 d1 / (d0 + d1)), which doubles (arithmetic) or halves (harmonic) the
-    u flux; `su` undoes that with its final division by h.  When h is a
-    power of two and c/h^2 is finite and normal for c in (0.5, 1, 2), each
-    face row takes one multiply: the gradients stay unscaled (`grad` is
-    None), the largest |face difference| is multiplied by k = 1/h, and the
-    u and v rows by (0.5 or 2)/h^2 and 1/h^2.  Otherwise `grad` is the
-    gradients' `face_scaling(h)`, k = 1.0, `sv` is `face_scaling(h)` and
-    `su` is `face_scaling(2h)` or `face_scaling(h/2)`.  Scaling by a power
+    The face means are the arithmetic ones left unhalved (d0 + d1), which
+    doubles the u flux; `su` undoes that with its final division by h.
+    When h is a power of two and c/h^2 is finite and normal for c in
+    (0.5, 1), each face row takes one multiply: the gradients stay
+    unscaled (`grad` is None), the largest |face difference| is multiplied
+    by k = 1/h, and the u and v rows by 0.5/h^2 and 1/h^2.  Otherwise
+    `grad` is the gradients' `face_scaling(h)`, k = 1.0, `sv` is
+    `face_scaling(h)` and `su` is `face_scaling(2h)`.  Scaling by a power
     of two is exact, so both give the bits of halved means and two
     divisions by h."""
-    c = 0.5 if mean == "arithmetic" else 2.0
     inv = 1.0 / h
     if math.frexp(h)[0] == 0.5 and all(
-            sys.float_info.min <= f * inv * inv < math.inf
-            for f in (0.5, 1.0, 2.0)):
-        return None, inv, (np.multiply, c * inv * inv), (np.multiply,
-                                                         inv * inv)
-    return face_scaling(h), 1.0, face_scaling(h / c), face_scaling(h)
-
-
-_MEANS = ("arithmetic", "harmonic")
+            sys.float_info.min <= f * inv * inv < math.inf for f in (0.5, 1.0)):
+        return None, inv, (np.multiply, 0.5 * inv * inv), (np.multiply,
+                                                           inv * inv)
+    return face_scaling(h), 1.0, face_scaling(2.0 * h), face_scaling(h)
 
 
 @dataclass(frozen=True)
@@ -317,10 +310,10 @@ class GridBatch:
     call serves a step of several runs (`stepper.run_batch`).
 
     Where one grid ends and the next begins lies a junk face, zeroed as on
-    2D's last axis.  Each constant of `rhs_scalings` becomes a per-face
-    array of each grid's own constant (k one per grid), and a ufunc applied
-    to an array of identical doubles gives the bits of the scalar call, so
-    every grid must take the same `rhs_scalings` branch.  The batch's work
+    2D's last axis.  Each constant of the grids' `rhs_scalings` becomes one
+    per-face array of each grid's own constant (k one per grid), and a
+    ufunc applied to an array of identical doubles gives the bits of the
+    scalar call, so every grid must take the same `rhs_scalings` branch.  The batch's work
     arrays (`work`) are built by `work_arrays`' code but kept here, out of
     its cache; they have no face quadrature, so `face_sums` takes grids
     only."""
@@ -332,9 +325,8 @@ class GridBatch:
         grids = tuple(self.grids)
         if not grids or any(g.dim != 1 for g in grids):
             raise ValueError("a grid batch needs one or more 1D grids")
-        kinds = {tuple((grad and grad[0], su[0], sv[0]) for grad, _, su, sv
-                       in (rhs_scalings(g.h[0], mean) for mean in _MEANS))
-                 for g in grids}
+        kinds = {(grad and grad[0], su[0], sv[0]) for grad, _, su, sv
+                 in (rhs_scalings(g.h[0]) for g in grids)}
         if len(kinds) > 1:
             raise ValueError("the grids of a batch must take one branch of "
                              "rhs_scalings: h a power of two in all or none")
@@ -373,19 +365,14 @@ class GridBatch:
         def per_face(ks):  # each grid's constant on its faces and next junk
             return np.repeat(ks, sizes)[:-1]
 
-        scalings = {}
-        for mean in _MEANS:
-            grid_rows = [rhs_scalings(g.h[0], mean) for g in self.grids]
-            grad, _, (su, _), (sv, _) = grid_rows[0]
-            if grad is not None:  # it scales the u faces, margin and v faces
-                hs = per_face([row[0][1] for row in grid_rows])
-                grad = grad[0], np.concatenate((hs, [1.0], hs))
-            scalings[mean] = (
-                grad, np.array([row[1] for row in grid_rows]),
-                (su, per_face([row[2][1] for row in grid_rows])),
-                (sv, per_face([row[3][1] for row in grid_rows])))
-        return np.array(self.starts, dtype=np.intp), [(1, None, junk, None,
-                                                       scalings)]
+        grads, ks, sus, svs = zip(*(rhs_scalings(g.h[0]) for g in self.grids))
+        grad = grads[0]
+        if grad is not None:  # it scales the u faces, margin and v faces
+            hs = per_face([g[1] for g in grads])
+            grad = grad[0], np.concatenate((hs, [1.0], hs))
+        su, sv = ((s[0][0], per_face([k for _, k in s])) for s in (sus, svs))
+        return (np.array(self.starts, dtype=np.intp),
+                [(1, None, junk, None, (grad, np.array(ks), su, sv))])
 
 
 @functools.lru_cache(maxsize=4)
@@ -408,8 +395,7 @@ def work_arrays(grid: Grid) -> WorkArrays:
                      (block[stride:n], block[n + stride:2 * n])
                      + tuple(r[:nf] for r in rows)))
         flux.append((block[stride:2 * n], block[stride:], block[:2 * n]))
-    scalings = {mean: tuple(axis[4][mean] for axis in layout)
-                for mean in _MEANS}
+    scalings = tuple(axis[4] for axis in layout)
     return WorkArrays(*(r.reshape(grid.shape) for r in rows[2:]), tuple(axes),
                       tuple(flux), rows, zeros(2 * n).reshape(2, *grid.shape),
                       scalings, starts)

@@ -49,18 +49,15 @@ class ModelParams:
     l: float
     epsilon: float
     b: float = 1.0
-    face_mean: str = "arithmetic"
 
     def __post_init__(self) -> None:
         if not 1.0 <= self.l < np.inf:
             raise ValueError(f"l must be finite and >= 1, got {self.l}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.b <= 0.0:
-            raise ValueError(f"b must be positive (energy constant), got {self.b}")
-        if self.face_mean not in ("arithmetic", "harmonic"):
-            raise ValueError("face_mean must be arithmetic or harmonic, "
-                             f"got {self.face_mean!r}")
+        if not 0.0 < self.b < np.inf:
+            raise ValueError("b must be positive and finite (energy constant), "
+                             f"got {self.b}")
 
 
 @dataclass
@@ -138,15 +135,14 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid | GridBatch,
     work = work_arrays(grid) if type(grid) is Grid else grid.work
     starts = work.starts
     coef_d, coef_t = _coefficients(u, v, params, work)
-    harmonic = params.face_mean == "harmonic"
     if grid.dim > 1:
         u, v, coef_d, coef_t = (a.reshape(-1) for a in (u, v, coef_d, coef_t))
     if out is None:
         out = np.empty((2, *grid.shape))
     duv, first, gv_max = out.reshape(-1), True, 0.0
     for (grad, k, (su, ku), (sv, kv)), \
-            (_, lo, hi, junk, _, (gu, gv, mean, den, *_)), (faces, up, down) \
-            in zip(work.scalings[params.face_mean], work.axes, work.flux):
+            (_, lo, hi, junk, _, (gu, gv, mean, *_)), (faces, up, down) \
+            in zip(work.scalings, work.axes, work.flux):
         np.subtract(u[hi], u[lo], out=gu)
         np.subtract(v[hi], v[lo], out=gv)
         if junk is not None:  # `faces` has the junk faces of both rows there
@@ -159,20 +155,11 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid | GridBatch,
             gv_max = max(gv_max, k * _max(gv), -k * _min(gv))
         else:  # k per grid; a junk face's 0 is below each grid's max|d|
             gv_max = k * np.fmax(_max_at(gv, starts), -_min_at(gv, starts))
-        d0, d1 = coef_d[lo], coef_d[hi]
-        t0, t1 = coef_t[lo], coef_t[hi]
         # flux = mean(coef_d) * gu - mean(coef_t) * gv, in place of gu, with
-        # the means' factors 0.5 or 2 left to `su`
-        if harmonic:
-            np.multiply(d0, d1, out=mean)
-            mean /= np.add(d0, d1, out=den)
-            gu *= mean
-            np.multiply(t0, t1, out=mean)
-            mean /= np.add(t0, t1, out=den)
-        else:
-            np.add(d0, d1, out=mean)
-            gu *= mean
-            np.add(t0, t1, out=mean)
+        # the arithmetic means' factor 0.5 left to `su`
+        np.add(coef_d[lo], coef_d[hi], out=mean)
+        gu *= mean
+        np.add(coef_t[lo], coef_t[hi], out=mean)
         mean *= gv
         gu -= mean
         su(gu, ku, out=gu)

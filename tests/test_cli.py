@@ -451,6 +451,20 @@ def test_non_utf8_config_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mean", ["arithmetic", "harmonic"])
+def test_face_mean_key_is_usage_error(tmp_path, capsys, mean):
+    # the step has one face mean, the arithmetic one, and no key selects it
+    path = tmp_path / "mean.cfg"
+    path.write_text(CONFIG + f"model.face_mean = {mean}\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"taxisim run: error: {path}: line 8: unknown key model.face_mean")
+    assert not out.exists()
+
+
 def test_repeated_diagnostics_entry_is_usage_error(tmp_path, capsys):
     path = tmp_path / "rep.cfg"
     path.write_text(CONFIG.replace("nx = 32", "nx = 16")

@@ -24,7 +24,6 @@ class TestMinimal:
         assert cfg.model.l == 2.0
         assert cfg.model.epsilon == 0.01
         assert cfg.model.b == 1.0
-        assert cfg.model.face_mean == "arithmetic"
         assert cfg.T == 1.0
         assert cfg.safety == 0.4
         assert cfg.preset == "constant"
@@ -53,8 +52,12 @@ class TestValidation:
             parse_config(bad)
 
     def test_unknown_key_hard_error(self):
-        with pytest.raises(ConfigError, match="model.alpha"):
-            parse_config(MINIMAL + "model.alpha = 1\n")
+        # model.face_mean named the removed harmonic face mean
+        for line in ("model.alpha = 1", "model.face_mean = arithmetic",
+                     "model.face_mean = harmonic"):
+            key = line.split(" = ")[0]
+            with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+                parse_config(MINIMAL + line + "\n")
 
     def test_unknown_preset_param_hard_error(self):
         # amplitude belongs to gaussian_colony, not constant
@@ -242,7 +245,6 @@ grid.nx = 16
 grid.ny = 8
 model.l = 2.5
 model.epsilon = 0.05
-model.face_mean = harmonic
 time.T = 0.5
 init.preset = gaussian_colony
 init.amplitude = 4
@@ -256,7 +258,6 @@ seed = 42
 """
         cfg = parse_config(text)
         assert cfg.lengths == (2.0, 3.0) and cfg.shape == (16, 8)
-        assert cfg.model.face_mean == "harmonic"
         assert cfg.preset_params["center"] == (1.0, 1.5)
         assert cfg.p_list == (2.0, 3.0, 4.0)
         assert cfg.q_alpha == ((4.0, 3.0),)

@@ -275,20 +275,18 @@ class TestRhsScalings:
     # is finite and normal; else the gradients divide by h first
     @pytest.mark.parametrize("h", [1 / 64, 1 / 128, 1.0, 2.0, 2.0 ** -500])
     def test_one_multiply_per_row(self, h):
-        for mean, c in (("arithmetic", 0.5), ("harmonic", 2.0)):
-            grad, k, su, sv = rhs_scalings(h, mean)
-            assert grad is None and k == 1.0 / h
-            assert su == (np.multiply, c / h / h)
-            assert sv == (np.multiply, 1.0 / h / h)
+        grad, k, su, sv = rhs_scalings(h)
+        assert grad is None and k == 1.0 / h
+        assert su == (np.multiply, 0.5 / h / h)
+        assert sv == (np.multiply, 1.0 / h / h)
 
     @pytest.mark.parametrize("h", [10 / 256, 0.75, 3.0,
                                    2.0 ** -520, 2.0 ** 520])
     def test_divide_path(self, h):
         # 2^-520 and 2^520: 1 / h^2 overflows or is not normal
-        for mean, c in (("arithmetic", 0.5), ("harmonic", 2.0)):
-            grad, k, su, sv = rhs_scalings(h, mean)
-            assert grad == face_scaling(h) and k == 1.0
-            assert su == face_scaling(h / c) and sv == face_scaling(h)
+        grad, k, su, sv = rhs_scalings(h)
+        assert grad == face_scaling(h) and k == 1.0
+        assert su == face_scaling(h / 0.5) and sv == face_scaling(h)
 
 
 class TestFieldIO:
