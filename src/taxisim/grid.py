@@ -298,7 +298,8 @@ def rhs_scalings(h: float) -> tuple:
     divisions by h."""
     inv = 1.0 / h
     if math.frexp(h)[0] == 0.5 and all(
-            sys.float_info.min <= f * inv * inv < math.inf for f in (0.5, 1.0)):
+            sys.float_info.min <= f * inv * inv < math.inf
+            for f in (0.5, 1.0)):
         return None, inv, (np.multiply, 0.5 * inv * inv), (np.multiply,
                                                            inv * inv)
     return face_scaling(h), 1.0, face_scaling(2.0 * h), face_scaling(h)
@@ -313,10 +314,10 @@ class GridBatch:
     2D's last axis.  Each constant of the grids' `rhs_scalings` becomes one
     per-face array of each grid's own constant (k one per grid), and a
     ufunc applied to an array of identical doubles gives the bits of the
-    scalar call, so every grid must take the same `rhs_scalings` branch.  The batch's work
-    arrays (`work`) are built by `work_arrays`' code but kept here, out of
-    its cache; they have no face quadrature, so `face_sums` takes grids
-    only."""
+    scalar call, so every grid must take the same `rhs_scalings` branch.
+    The batch's work arrays (`work`) are built by `work_arrays`' code but
+    kept here, out of its cache; they have no face quadrature, so
+    `face_sums` takes grids only."""
 
     grids: tuple[Grid, ...]
     dim = 1

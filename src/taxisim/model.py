@@ -56,8 +56,8 @@ class ModelParams:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if not 0.0 < self.b < np.inf:
-            raise ValueError("b must be positive and finite (energy constant), "
-                             f"got {self.b}")
+            raise ValueError("b must be positive and finite (energy "
+                             f"constant), got {self.b}")
 
 
 @dataclass

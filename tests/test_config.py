@@ -52,7 +52,7 @@ class TestValidation:
             parse_config(bad)
 
     def test_unknown_key_hard_error(self):
-        # model.face_mean named the removed harmonic face mean
+        # model.face_mean is no key: the step has one face mean
         for line in ("model.alpha = 1", "model.face_mean = arithmetic",
                      "model.face_mean = harmonic"):
             key = line.split(" = ")[0]
