@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, face_sums, integrate_array, work_arrays
+from .grid import (ScalarField, _max, _min, _sum, face_sums, integrate_array,
+                   work_arrays)
 from .model import ModelParams, PositivityViolation, State
 
 __all__ = [
@@ -62,7 +63,7 @@ _MAX_PRODUCT_POWER = 64
 
 def _check_positive(f: ScalarField, name: str) -> float:
     """The minimum of `f`, which must be > 0."""
-    m = float(f.values.min())
+    m = float(_min(f.values, axis=None))
     if not m > 0.0:
         raise PositivityViolation(f"{name} must be strictly positive, min = {m!r}")
     return m
@@ -238,11 +239,12 @@ def full_record(state: State, params: ModelParams, p_list,
     c = np.multiply(u, u, out=work.coef_d)
     c *= v
     weighted_L2 = integrate_array(grid, c)
-    sup_u = float(u.max())
+    sup_u = float(_max(u, axis=None))
     lp_u = {}
     for p in p_list:
         p = float(p)  # u > 0, so |u| ** p is u ** p
-        lp_u[p] = float(np.sum(_power(u, p, c)) * grid.cell_volume) ** (1.0 / p)
+        lp_u[p] = float(_sum(_power(u, p, c), axis=None)
+                        * grid.cell_volume) ** (1.0 / p)
     lp_u[math.inf] = sup_u
     log_u = None
     # the entropy of u is int ln u at l = 2 and int u^(2-l) otherwise
@@ -256,7 +258,7 @@ def full_record(state: State, params: ModelParams, p_list,
         mass_u=integrate_array(grid, u),
         mass_v=integrate_array(grid, v),
         sup_u=sup_u,
-        sup_v=float(v.max()),
+        sup_v=float(_max(v, axis=None)),
         inf_v=inf_v,
         cumulative_uv=state.cumulative_uv,
         diss_u=diss_u,

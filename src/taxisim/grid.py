@@ -33,6 +33,18 @@ __all__ = [
 ]
 
 
+# The reductions of the step and the functionals, called directly: `a.max()`,
+# `np.sum(a)` and their kin pass through numpy's Python wrappers to these same
+# calls.  Each reduces a flat array, or the whole of a multi-axis one with
+# `axis=None`.
+_max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+
+# Face buffers per axis in a grid's work arrays: the flux block's u and v
+# faces and the five rows.  A `face_sums` call forms at most this many face
+# gradients and means.
+FACE_BUFFERS = 7
+
+
 def _check_dim(dim: int) -> None:
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
@@ -181,7 +193,7 @@ def _axis_slices(ndim: int, axis: int):
 
 def integrate_array(grid: Grid, a: np.ndarray) -> float:
     """Midpoint-rule integral of the cell values `a` over the grid's domain."""
-    return float(np.sum(a)) * grid.cell_volume
+    return float(_sum(a, axis=None)) * grid.cell_volume
 
 
 def integrate(f: ScalarField) -> float:
@@ -209,8 +221,9 @@ def lp_norm(f: ScalarField, p: float) -> float:
     """L^p norm via midpoint quadrature; max norm for p = inf."""
     _check_lp_exponent(p)
     if p == math.inf:
-        return float(np.max(np.abs(f.values)))
-    return float(np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p)
+        return float(_max(np.abs(f.values), axis=None))
+    return float(_sum(np.abs(f.values) ** p, axis=None)
+                 * f.grid.cell_volume) ** (1.0 / p)
 
 
 def face_quadrature(grid: Grid, axis: int) -> np.ndarray:
@@ -415,8 +428,15 @@ def face_sums(grid: Grid, integrand, grads=(), means=()) -> list[float]:
     per-axis sums accumulate in axis order.  Each array is summed as it is
     yielded, so the integrand may then overwrite it, any spare buffer, and
     any face array it no longer needs.
+
+    The work arrays hold `FACE_BUFFERS` face buffers per axis, so at most
+    that many gradients and means together: more raise a ValueError before
+    any pass.
     """
     n = len(grads) + len(means)
+    if n > FACE_BUFFERS:
+        raise ValueError(f"face_sums forms at most {FACE_BUFFERS} face "
+                         f"gradients and means, got {n}")
     grads = [a.reshape(-1) for a in grads]
     means = [a.reshape(-1) for a in means]
     totals = []
@@ -427,7 +447,7 @@ def face_sums(grid: Grid, integrand, grads=(), means=()) -> list[float]:
         for a, out in zip(means, faces[len(grads):n]):
             np.add(a[lo], a[hi], out=out)
             out *= 0.5
-        sums = [float(np.sum(f)) for f in integrand(*faces[:n], w, faces[n:])]
+        sums = [float(_sum(f)) for f in integrand(*faces[:n], w, faces[n:])]
         totals = [t + s for t, s in zip(totals or [0.0] * len(sums), sums)]
     return totals
 

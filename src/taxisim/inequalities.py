@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import _check_positive, _dissipation_faces, _quotient_faces
-from .grid import Grid, ScalarField, face_sums, integrate_array, work_arrays
+from .grid import (FACE_BUFFERS, Grid, ScalarField, _max, _min, face_sums,
+                   integrate_array, work_arrays)
 
 __all__ = [
     "IneqReport",
@@ -69,6 +70,13 @@ def _listed(x) -> tuple[bool, tuple]:
     return single, (x,) if single else tuple(x)
 
 
+def _pair_grid(phi: ScalarField, psi: ScalarField) -> Grid:
+    """The one grid of phi and psi; a ValueError if they differ."""
+    if phi.grid is not psi.grid and phi.grid != psi.grid:
+        raise ValueError("phi and psi must share one grid")
+    return phi.grid
+
+
 def check_ineq_61(phi: ScalarField, psi: ScalarField, p,
                   field_seed: int | None = None):
     """Interpolation bound: int phi^(p+1) psi against the dissipation bracket
@@ -81,9 +89,9 @@ def check_ineq_61(phi: ScalarField, psi: ScalarField, p,
     a call with its p alone."""
     single, ps = _listed(p)
     check_lists(ps)
+    grid = _pair_grid(phi, psi)
     _check_positive(phi, "phi")
     _check_positive(psi, "psi")
-    grid = phi.grid
     f, s = phi.values, psi.values
     diss_phi, diss_psi = face_sums(grid, _dissipation_faces,
                                    grads=(f, s), means=(f, s))
@@ -102,17 +110,18 @@ def check_ineq_61(phi: ScalarField, psi: ScalarField, p,
     return reports[0] if single else reports
 
 
-# weighted_gradient's integrand at (q, alpha) = (4, 3): the quartic
-# gradient quotient over grads=(psi,), means=(psi,)
+# psi's quartic gradient quotient from its face gradients and means, as
+# weighted_gradient forms it at (q, alpha) = (4, 3)
 def _quartic_faces(gs, ms, w, spare):
     g2 = np.multiply(gs, gs, out=spare[0])
     yield from _quotient_faces(gs, ms, w, g2, [(4.0, 3.0)], spare[1:])
 
 
-# (6.4)'s p-dependent face integrands over grads=(phi, psi) and
-# means=(phi^(p+1) psi, phi^(p-1) psi), in place in the means with the
-# operation order of m_fp1s * gs * gs * w and m_fm1s * gf * gf * w
-def _young_faces(gf, gs, m_fp1s, m_fm1s, w, spare):
+# (6.4)'s two Young terms of one p from the face gradients of phi and psi
+# and the face means of phi^(p+1) psi and phi^(p-1) psi, in place in the
+# means with the operation order of m_fp1s * gs * gs * w and
+# m_fm1s * gf * gf * w
+def _young_faces(gf, gs, m_fp1s, m_fm1s, w):
     m_fp1s *= gs
     m_fp1s *= gs
     m_fp1s *= w
@@ -121,6 +130,24 @@ def _young_faces(gf, gs, m_fp1s, m_fm1s, w, spare):
     m_fm1s *= gf
     m_fm1s *= w
     yield m_fm1s
+
+
+# The p's of one (6.4) face pass: the grads (phi, psi), psi's mean in the
+# first pass and two means per p fill the face buffers
+_P_PER_PASS = (FACE_BUFFERS - 3) // 2
+
+
+# (6.4)'s face integrand over grads=(phi, psi) and means ([psi,] then
+# phi^(p+1) psi and phi^(p-1) psi for each p): each p's two Young terms,
+# then, where psi's mean leads the (then odd) list, psi's quartic quotient
+# in the buffers those terms freed and the spare ones
+def _ineq64_faces(gf, gs, *rest):
+    *ms, w, spare = rest
+    quartic = len(ms) % 2
+    for m_fp1s, m_fm1s in zip(ms[quartic::2], ms[quartic + 1::2]):
+        yield from _young_faces(gf, gs, m_fp1s, m_fm1s, w)
+    if quartic:
+        yield from _quartic_faces(gs, ms[0], w, ms[1:] + list(spare))
 
 
 def check_ineq_64(phi: ScalarField, psi: ScalarField, p, eta,
@@ -132,27 +159,35 @@ def check_ineq_64(phi: ScalarField, psi: ScalarField, p, eta,
 
     `p` and `eta` are each a float or a non-empty sequence.  Two floats give
     one IneqReport; otherwise the reports form a flat list, p-major, one per
-    (p, eta).  The quartic quotient and every p-free integral are formed
-    once per call, one face pass and the p-dependent integrals once per p,
-    so each report equals, to the bit, that of a call with its p and eta
+    (p, eta).  One face pass forms the face integrands of two p's, as many
+    as the grid's face buffers hold, and the first also the quartic
+    quotient of psi, so a call makes ceil(|p| / 2) face passes.  Every
+    p-free integral is formed once per call, the p-dependent ones once per
+    p, so each report equals, to the bit, that of a call with its p and eta
     alone."""
     single_p, ps = _listed(p)
     single_eta, etas = _listed(eta)
     check_lists(ps, etas)
+    grid = _pair_grid(phi, psi)
     _check_positive(phi, "phi")
     _check_positive(psi, "psi")
-    grid = phi.grid
     f, s = phi.values, psi.values
-    sup_psi = float(s.max())
-    f4, = face_sums(grid, _quartic_faces, grads=(s,), means=(s,))
+    sup_psi = float(_max(s, axis=None))
+    f4, per_p = None, []  # per p: (lhs, grad_phi, int_fp1s)
+    for i in range(0, len(ps), _P_PER_PASS):
+        means = [] if per_p else [s]  # psi's mean in the first pass
+        for q in ps[i:i + _P_PER_PASS]:
+            means += [f ** (q + 1.0) * s, f ** (q - 1.0) * s]
+        sums = face_sums(grid, _ineq64_faces, grads=(f, s), means=means)
+        if not per_p:
+            f4 = sums.pop()
+        per_p += [(lhs, grad_phi, integrate_array(grid, fp1s))
+                  for lhs, grad_phi, fp1s in zip(
+                      sums[::2], sums[1::2], means[len(means) % 2::2])]
     int_f = integrate_array(grid, f)
     base = sup_psi ** 2 * integrate_array(grid, f * s)
     reports = []
-    for q in ps:
-        fp1s = f ** (q + 1.0) * s
-        lhs, grad_phi = face_sums(grid, _young_faces, grads=(f, s),
-                                  means=(fp1s, f ** (q - 1.0) * s))
-        int_fp1s = integrate_array(grid, fp1s)
+    for q, (lhs, grad_phi, int_fp1s) in zip(ps, per_p):
         mass_power = sup_psi ** 2 * int_f ** (2.0 * q + 1.0) * f4
         for e in etas:
             # key order fixes the summation order of denom
@@ -239,8 +274,8 @@ def _random_smooth(rng: np.random.Generator, grid: Grid, basis, lo: float,
             np.copyto(out, basis[1])
             out *= block
             np.add.reduce(out, axis=0, out=raw[i:i + nrows])
-    low = raw.min()
-    span = raw.max() - low
+    low = _min(raw, axis=None)
+    span = _max(raw, axis=None) - low
     if span < 1e-30:
         return ScalarField.full(grid, 0.5 * (lo + hi))
     # lo + (hi - lo) * (raw - low) / span, in place

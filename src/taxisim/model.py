@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridBatch, ScalarField, WorkArrays, work_arrays
+from .grid import (Grid, GridBatch, ScalarField, WorkArrays, _max, _min,
+                   work_arrays)
 
 __all__ = [
     "ModelParams",
@@ -26,13 +27,10 @@ __all__ = [
 ]
 
 
-# The reductions of the step, called directly: `a.max()` and its kin pass
-# through numpy's Python wrappers to these same calls.  Each reduces a flat
-# array, or the whole of a multi-axis one with `axis=None`.  The `_at`
-# forms reduce each segment of a `GridBatch`: max and min do not depend on
-# the order, so they are exact, but a sum does (`np.add.reduceat` adds
-# sequentially), so a batch sums each segment's slice on its own.
-_max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+# The segment forms of grid's direct reductions `_max` and `_min` reduce
+# each segment of a `GridBatch`: max and min do not depend on the order, so
+# they are exact, but a sum does (`np.add.reduceat` adds sequentially), so
+# a batch sums each segment's slice on its own.
 _max_at, _min_at = np.maximum.reduceat, np.minimum.reduceat
 
 

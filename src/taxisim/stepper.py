@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridBatch, ScalarField, work_arrays
-from .model import (ModelParams, State, _max, _max_at, _min, _min_at, _sum,
-                    rhs_arrays, stability_dt)
+from .grid import GridBatch, ScalarField, _max, _min, _sum, work_arrays
+from .model import (ModelParams, State, _max_at, _min_at, rhs_arrays,
+                    stability_dt)
 
 __all__ = ["StepControl", "StepFailure", "step", "run_until", "run_batch"]
 

@@ -36,6 +36,7 @@ from taxisim.diagnostics import (
     write_series_header,
 )
 from taxisim.grid import (
+    FACE_BUFFERS,
     _axis_slices,
     face_quadrature,
     face_sums,
@@ -475,6 +476,28 @@ class TestFlatFaceSums:
             assert zero.any() == (junk is not None)
             assert np.array_equal(w == 0.0, zero)  # exactly at the junk faces
             assert w.sum() == pytest.approx(g.domain.volume, rel=1e-14)
+
+    @pytest.mark.parametrize("make_grid", BIT_GRIDS)
+    def test_buffer_limit(self, make_grid):
+        # every face gradient and mean has a face buffer of its own: the
+        # work arrays' buffers are the limit, and a call beyond it raises
+        # before any pass instead of dropping the arrays it has no room for
+        g = make_grid()
+        assert all(len(faces) == FACE_BUFFERS
+                   for *_, faces in work_arrays(g).axes)
+        a = np.ones(g.shape)
+        seen = []
+
+        def faces(*args):
+            seen.append(len(args))
+            yield args[-2]
+
+        total, = face_sums(g, faces, grads=[a] * 3, means=[a] * 4)
+        assert total == pytest.approx(g.dim * g.domain.volume, rel=1e-14)
+        assert seen == [FACE_BUFFERS + 2] * g.dim  # no spare buffer left
+        with pytest.raises(ValueError, match=f"at most {FACE_BUFFERS} "):
+            face_sums(g, faces, grads=[a] * 4, means=[a] * 5)
+        assert len(seen) == g.dim
 
 
 class TestPower:

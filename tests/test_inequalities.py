@@ -207,13 +207,16 @@ class TestPSequence:
                 assert_same_report(
                     rep, check_ineq_61(phi, psi, p, field_seed=i))
 
+    # one, two and three face passes; the longest list repeats a p
+    @pytest.mark.parametrize("ps", [(2.5,), (1.0, 2.0), (1.0, 2.0, 2.5),
+                                    (1.0, 3.0, 2.0, 1.5, 3.0)],
+                             ids=["1p", "2p", "3p", "5p"])
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
-    def test_ineq64_matches_scalar_calls_p_major(self, grid):
+    def test_ineq64_matches_scalar_calls_p_major(self, grid, ps):
         for i, (phi, psi) in enumerate(self.pairs(grid)):
-            reports = check_ineq_64(phi, psi, self.PS, self.ETAS,
-                                    field_seed=i)
+            reports = check_ineq_64(phi, psi, ps, self.ETAS, field_seed=i)
             expected = [check_ineq_64(phi, psi, p, eta, field_seed=i)
-                        for p in self.PS for eta in self.ETAS]
+                        for p in ps for eta in self.ETAS]
             assert len(reports) == len(expected)
             for rep, ref in zip(reports, expected):
                 assert_same_report(rep, ref)
@@ -245,8 +248,8 @@ class TestPSequence:
     @pytest.mark.parametrize("ps", [(2.0,), (1.0, 2.0, 2.5, 1.0)])
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
     def test_face_passes_per_pair(self, monkeypatch, grid, ps):
-        # (6.1): one face pass whatever |p|; (6.4): the quartic quotient's
-        # pass and one per p, whatever |eta|
+        # (6.1): one face pass whatever |p|; (6.4): one per two p's, the
+        # first also forming the quartic quotient, whatever |eta|
         calls = []
 
         def counted(*args, **kwargs):
@@ -258,7 +261,37 @@ class TestPSequence:
         check_ineq_61(phi, psi, ps)
         assert len(calls) == 1
         check_ineq_64(phi, psi, ps, self.ETAS)
-        assert len(calls) == 1 + 1 + len(ps)
+        assert len(calls) == 1 + math.ceil(len(ps) / 2)
+
+
+class TestPairGrid:
+    CHECKS = [
+        lambda phi, psi: check_ineq_61(phi, psi, [1.0, 2.0]),
+        lambda phi, psi: check_ineq_64(phi, psi, [1.0, 2.0], 1.0),
+    ]
+
+    @pytest.mark.parametrize("psi_grid", [
+        Grid(Domain((2.0, 2.0)), (16, 16)),  # same shape, other domain
+        Grid(Domain((1.0, 1.0)), (16, 12)),
+    ], ids=["domain", "shape"])
+    @pytest.mark.parametrize("check", CHECKS, ids=["6.1", "6.4"])
+    def test_rejects_psi_on_another_grid(self, monkeypatch, check, psi_grid):
+        (phi, psi), = cosine_family(Grid(Domain((1.0, 1.0)), (16, 16)), 1,
+                                    seed=43)
+        psi = ScalarField(psi_grid, np.resize(psi.values, psi_grid.shape))
+        monkeypatch.setattr(inequalities, "face_sums", no_face_pass)
+        with pytest.raises(ValueError, match="share one grid"):
+            check(phi, psi)
+
+    @pytest.mark.parametrize("check", CHECKS, ids=["6.1", "6.4"])
+    def test_accepts_an_equal_grid(self, check):
+        (phi, psi), = cosine_family(Grid(Domain((1.0, 1.0)), (16, 16)), 1,
+                                    seed=43)
+        other = Grid(Domain((1.0, 1.0)), (16, 16))
+        assert other is not phi.grid
+        for rep, ref in zip(check(phi, ScalarField(other, psi.values)),
+                            check(phi, psi)):
+            assert_same_report(rep, ref)
 
 
 def reference_ineq64(phi, psi, p, eta):
