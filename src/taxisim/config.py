@@ -22,6 +22,10 @@ class ConfigError(ValueError):
     pass
 
 
+# a run builds its event table before its first step: ~300 MB at this cap
+MAX_RECORDS = 1e6
+
+
 def labels(values, output: str) -> dict:
     """{`%g` label: value} of `values`.  Each label names an `output`, so two
     values sharing one, equal ones included, are a ValueError."""
@@ -101,6 +105,10 @@ class RunConfig:
         if not 0.0 < self.sample_interval < math.inf:
             raise ValueError("diagnostics.sample_interval must be positive "
                              f"and finite, got {self.sample_interval}")
+        if self.T / self.sample_interval > MAX_RECORDS:
+            raise ValueError("diagnostics.sample_interval gives more than "
+                             f"{MAX_RECORDS:g} records up to time.T, got "
+                             f"{self.sample_interval}")
         if any(not 0.0 <= t <= self.T for t in self.snapshot_times):
             raise ValueError("output.snapshot_times must lie in "
                              f"[0, time.T = {self.T:g}]")

@@ -113,10 +113,13 @@ def recorded(out_dir, config: RunConfig, **fields):
     files: list[str] = []
 
     def write() -> None:
+        # replaced whole, so the file on disk is valid JSON at every instant
         manifest["files"] = files + ["manifest.json"]
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        path = os.path.join(out_dir, "manifest.json")
+        with open(path + ".tmp", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        os.replace(path + ".tmp", path)
 
     write()
     try:
@@ -224,8 +227,9 @@ def _run_child(args) -> RunResult:
 
 
 def _run_children(manifest: dict, out_dir, children: dict, jobs: int) -> dict:
-    """Run a study's {subdirectory: config} children under `out_dir` and
-    return their results by subdirectory.  If any child did not succeed, the
+    """Run a study's {subdirectory: config} children under `out_dir`, in
+    at most `jobs` worker processes and no more than there are children,
+    and return their results by subdirectory.  If any child did not succeed, the
     study's manifest becomes "child_failure" with its "failed_children" and
     their "child_errors": "Type: message" for a child that raised, the
     failure message for one that ended as "step_failure"."""
@@ -237,7 +241,7 @@ def _run_children(manifest: dict, out_dir, children: dict, jobs: int) -> dict:
         # imported here: it pulls in multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_run_child, tasks))
     results = dict(zip(children, outcomes))
     failed = [sub for sub, res in results.items()

@@ -2,6 +2,8 @@
 nutrient v0 on a given grid."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import Grid, ScalarField
@@ -37,6 +39,10 @@ def check_preset(params: dict, dim: int) -> None:
             raise ValueError(f"{k} must be >= 0, got {x}")
         if k in ("b", "v", "amplitude", "width", "base") and not x > 0:
             raise ValueError(f"{k} must be > 0, got {x}")
+    w = params.get("width", 1.0)
+    if not 0.0 < 2.0 * w * w < math.inf:  # the Gaussian's denominator
+        raise ValueError(f"width must keep 2 width^2 a positive finite float, "
+                         f"got {w}")
     if params.get("center") is not None and len(params["center"]) != dim:
         raise ValueError(f"center needs {dim} coordinates")
     if "noise_amp" in params and not params["noise_amp"] < params["base"]:

@@ -464,6 +464,22 @@ def test_face_mean_key_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("width", ["1e300", "1e-300"])
+def test_gaussian_width_out_of_range_is_usage_error(tmp_path, capsys, width):
+    # before, the run crashed building u0, after its directory existed
+    path = tmp_path / "wide.cfg"
+    path.write_text(CONFIG.replace("init.preset = constant",
+                                   "init.preset = gaussian_colony")
+                    + f"init.width = {width}\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"taxisim run: error: {path}: init.width must keep 2 width")
+    assert not out.exists()
+
+
 def test_repeated_diagnostics_entry_is_usage_error(tmp_path, capsys):
     path = tmp_path / "rep.cfg"
     path.write_text(CONFIG.replace("nx = 32", "nx = 16")

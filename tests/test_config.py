@@ -147,6 +147,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="noise_amp"):
             parse_config(text + "init.noise_amp = 2\ninit.base = 1\n")
 
+    def test_record_count_bound(self):
+        # 1e9 records would be an event table of ~300 GB, built before
+        # the first step
+        with pytest.raises(ConfigError, match=r"^<config>: diagnostics\."
+                           r"sample_interval gives more than 1e\+06 records"):
+            parse_config(MINIMAL + "diagnostics.sample_interval = 1e-9\n")
+        cfg = parse_config(MINIMAL + "diagnostics.sample_interval = 1e-6\n")
+        with pytest.raises(ValueError, match="^diagnostics.sample_interval"):
+            dataclasses.replace(cfg, T=1.5)
+
+    @pytest.mark.parametrize("width", ["1e300", "1e-300"])
+    def test_gaussian_width_in_float_range(self, width):
+        # 2 width^2 overflowed (OverflowError) or underflowed to 0 (nan u0)
+        # when the run built u0
+        text = MINIMAL.replace("init.preset = constant",
+                               "init.preset = gaussian_colony")
+        with pytest.raises(ConfigError, match="^<config>: init.width must "
+                           "keep 2 width"):
+            parse_config(text + f"init.width = {width}\n")
+
 
 class TestReplace:
     # a config built by dataclasses.replace is checked as a parsed one is

@@ -361,6 +361,32 @@ class TestRecorded:
         manifest = check_manifest(str(tmp_path))
         assert manifest["status"] == "terminated" and "finished" in manifest
 
+    def test_failed_write_keeps_last_manifest(self, tmp_path, monkeypatch):
+        # the final write stops halfway; the running manifest stays whole
+        dump = experiments.json.dump
+        calls = []
+
+        def broken_dump(obj, fh, **kwargs):
+            calls.append(obj["status"])
+            if len(calls) == 1:
+                return dump(obj, fh, **kwargs)
+            fh.write('{"status": "succ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiments.json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            with experiments.recorded(str(tmp_path), small_config()):
+                pass
+        assert calls == ["running", "success"]
+        with open(tmp_path / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["status"] == "running" and "finished" not in manifest
+
+    def test_write_leaves_no_temporary(self, tmp_path):
+        with experiments.recorded(str(tmp_path), small_config()):
+            assert os.listdir(tmp_path) == ["manifest.json"]
+        assert check_manifest(str(tmp_path))["status"] == "success"
+
 
 class TestRefinementStudy:
     def test_small_study(self, tmp_path):
@@ -453,6 +479,55 @@ init.preset = constant
             assert "error" not in manifest
 
 
+class TestResidualOnce:
+    """The source residual oracle runs once per formula and exponent in a
+    process; each study still calls `mms.residual_check`."""
+
+    @staticmethod
+    def study(tmp_path, name, l=2.0):
+        cfg = parse_config(f"grid.nx = 16\nmodel.l = {l}\n"
+                           "model.epsilon = 0.01\ntime.T = 0.001\n"
+                           "init.preset = constant\n")
+        return refinement_study(cfg, [16, 32], str(tmp_path / name))
+
+    def test_one_oracle_run_per_exponent(self, tmp_path):
+        cached = experiments.mms._residual
+        cached.cache_clear()
+        first = self.study(tmp_path, "a")
+        second = self.study(tmp_path, "b")
+        assert (cached.cache_info().misses, cached.cache_info().hits) == (1, 1)
+        assert first["residual"] == second["residual"]
+        self.study(tmp_path, "c", l=2.5)
+        assert cached.cache_info().misses == 2
+
+    def test_matches_a_fresh_check(self):
+        mms = experiments.mms
+        kept = mms.residual_check(1.5, 4, 3)
+        mms._residual.cache_clear()
+        assert mms.residual_check(1.5, 4, 3) == kept
+        assert mms._residual.cache_info().misses == 1
+
+    def test_replaced_formula_checked_afresh(self, tmp_path, monkeypatch):
+        mms = experiments.mms
+        self.study(tmp_path, "right")
+        right = mms.forcing
+
+        def flipped(l, x, sizes=None):
+            source = right(l, x, sizes)
+
+            def wrong(t):
+                block = source(t)
+                block[1] *= -1.0  # f_v with its sign flipped
+                return block
+
+            return wrong
+
+        monkeypatch.setattr(mms, "forcing", flipped)
+        assert mms.residual_check(2.0) > experiments.MMS_RESIDUAL_TOL
+        with pytest.raises(RuntimeError, match="manufactured source residual"):
+            self.study(tmp_path, "wrong")
+
+
 class TestLSweep:
     def test_single_l(self, tmp_path):
         cfg = small_config()
@@ -516,6 +591,27 @@ diagnostics.sample_interval = 0.01
             assert man["status"] == "success"
         assert (tmp_path / "jobs1" / "sweep_summary.csv").read_bytes() \
             == (tmp_path / "jobs2" / "sweep_summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 2), (5000, 2)])
+@pytest.mark.parametrize("study", [l_sweep, epsilon_continuation])
+def test_workers_at_most_children(tmp_path, monkeypatch, study, jobs,
+                                  workers):
+    # the pool records its size and raises, so that no process starts
+    import concurrent.futures
+
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            raise RuntimeError("no pool in this test")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    values = [2, 3] if study is l_sweep else [0.1, 0.05]
+    with pytest.raises(RuntimeError, match="no pool"):
+        study(small_config(), values, str(tmp_path), jobs=jobs)
+    assert asked == [workers]
 
 
 @pytest.mark.parametrize("make, values", [
