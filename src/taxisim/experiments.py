@@ -229,10 +229,11 @@ def _run_child(args) -> RunResult:
 def _run_children(manifest: dict, out_dir, children: dict, jobs: int) -> dict:
     """Run a study's {subdirectory: config} children under `out_dir`, in
     at most `jobs` worker processes and no more than there are children,
-    and return their results by subdirectory.  If any child did not succeed, the
-    study's manifest becomes "child_failure" with its "failed_children" and
-    their "child_errors": "Type: message" for a child that raised, the
-    failure message for one that ended as "step_failure"."""
+    and return their results by subdirectory.  If any child did not
+    succeed, the study's manifest becomes "child_failure" with its
+    "failed_children" and their "child_errors": "Type: message" for a child
+    that raised, the failure message for one that ended as
+    "step_failure"."""
     tasks = [(child, os.path.join(out_dir, sub))
              for sub, child in children.items()]
     if jobs <= 1:

@@ -41,7 +41,7 @@ def check_preset(params: dict, dim: int) -> None:
             raise ValueError(f"{k} must be > 0, got {x}")
     w = params.get("width", 1.0)
     if not 0.0 < 2.0 * w * w < math.inf:  # the Gaussian's denominator
-        raise ValueError(f"width must keep 2 width^2 a positive finite float, "
+        raise ValueError("width must keep 2 width^2 a positive finite float, "
                          f"got {w}")
     if params.get("center") is not None and len(params["center"]) != dim:
         raise ValueError(f"center needs {dim} coordinates")
