@@ -30,6 +30,14 @@ def preset_defaults(preset: str) -> dict:
     return PRESET_PARAMS[preset]
 
 
+def _spread(width: float) -> float:
+    """2 width^2, the Gaussian's denominator; inf where it overflows."""
+    try:
+        return 2.0 * width ** 2
+    except OverflowError:
+        return math.inf
+
+
 def check_preset(params: dict, dim: int) -> None:
     """Reject `params`, a full parameter set of one preset, if it cannot
     give u0 >= 0 and v0 > 0 on a `dim`-dimensional grid.  The ValueError
@@ -39,10 +47,9 @@ def check_preset(params: dict, dim: int) -> None:
             raise ValueError(f"{k} must be >= 0, got {x}")
         if k in ("b", "v", "amplitude", "width", "base") and not x > 0:
             raise ValueError(f"{k} must be > 0, got {x}")
-    w = params.get("width", 1.0)
-    if not 0.0 < 2.0 * w * w < math.inf:  # the Gaussian's denominator
+    if "width" in params and not 0.0 < _spread(params["width"]) < math.inf:
         raise ValueError("width must keep 2 width^2 a positive finite float, "
-                         f"got {w}")
+                         f"got {params['width']}")
     if params.get("center") is not None and len(params["center"]) != dim:
         raise ValueError(f"center needs {dim} coordinates")
     if "noise_amp" in params and not params["noise_amp"] < params["base"]:
@@ -74,7 +81,7 @@ def make_initial(preset: str, grid: Grid, params: dict,
         r2 = np.zeros(grid.shape)
         for axis, c in enumerate(center):
             r2 += (coords[axis] - c) ** 2
-        u0 = ScalarField(grid, amplitude * np.exp(-r2 / (2.0 * width ** 2)),
+        u0 = ScalarField(grid, amplitude * np.exp(-r2 / _spread(width)),
                          copy=False)
         return u0, v0
 

@@ -464,7 +464,7 @@ def test_face_mean_key_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("width", ["1e300", "1e-300"])
+@pytest.mark.parametrize("width", ["1e300", "1e-300", "1.3e-162"])
 def test_gaussian_width_out_of_range_is_usage_error(tmp_path, capsys, width):
     # before, the run crashed building u0, after its directory existed
     path = tmp_path / "wide.cfg"

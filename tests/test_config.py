@@ -157,7 +157,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="^diagnostics.sample_interval"):
             dataclasses.replace(cfg, T=1.5)
 
-    @pytest.mark.parametrize("width", ["1e300", "1e-300"])
+    @pytest.mark.parametrize("width", ["1e300", "1e-300", "1.3e-162"])
     def test_gaussian_width_in_float_range(self, width):
         # 2 width^2 overflowed (OverflowError) or underflowed to 0 (nan u0)
         # when the run built u0

@@ -479,55 +479,6 @@ init.preset = constant
             assert "error" not in manifest
 
 
-class TestResidualOnce:
-    """The source residual oracle runs once per formula and exponent in a
-    process; each study still calls `mms.residual_check`."""
-
-    @staticmethod
-    def study(tmp_path, name, l=2.0):
-        cfg = parse_config(f"grid.nx = 16\nmodel.l = {l}\n"
-                           "model.epsilon = 0.01\ntime.T = 0.001\n"
-                           "init.preset = constant\n")
-        return refinement_study(cfg, [16, 32], str(tmp_path / name))
-
-    def test_one_oracle_run_per_exponent(self, tmp_path):
-        cached = experiments.mms._residual
-        cached.cache_clear()
-        first = self.study(tmp_path, "a")
-        second = self.study(tmp_path, "b")
-        assert (cached.cache_info().misses, cached.cache_info().hits) == (1, 1)
-        assert first["residual"] == second["residual"]
-        self.study(tmp_path, "c", l=2.5)
-        assert cached.cache_info().misses == 2
-
-    def test_matches_a_fresh_check(self):
-        mms = experiments.mms
-        kept = mms.residual_check(1.5, 4, 3)
-        mms._residual.cache_clear()
-        assert mms.residual_check(1.5, 4, 3) == kept
-        assert mms._residual.cache_info().misses == 1
-
-    def test_replaced_formula_checked_afresh(self, tmp_path, monkeypatch):
-        mms = experiments.mms
-        self.study(tmp_path, "right")
-        right = mms.forcing
-
-        def flipped(l, x, sizes=None):
-            source = right(l, x, sizes)
-
-            def wrong(t):
-                block = source(t)
-                block[1] *= -1.0  # f_v with its sign flipped
-                return block
-
-            return wrong
-
-        monkeypatch.setattr(mms, "forcing", flipped)
-        assert mms.residual_check(2.0) > experiments.MMS_RESIDUAL_TOL
-        with pytest.raises(RuntimeError, match="manufactured source residual"):
-            self.study(tmp_path, "wrong")
-
-
 class TestLSweep:
     def test_single_l(self, tmp_path):
         cfg = small_config()

@@ -60,6 +60,58 @@ class TestSources:
         assert residual_check(2.0, npoints=3, seed=1) \
             == residual_check(2.0, npoints=3, seed=1)
 
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_residual_resolves_a_small_error(self, monkeypatch, row):
+        # either source row off by 1e-9, a tenth of the study's tolerance
+        right = taxisim.mms.build_sources
+
+        def off(l):
+            rows = list(right(l))
+            good = rows[row]
+            rows[row] = lambda x, t: good(x, t) + 1e-9
+            return tuple(rows)
+
+        monkeypatch.setattr(taxisim.mms, "build_sources", off)
+        assert residual_check(2.0, npoints=3) == pytest.approx(1e-9, rel=1e-4)
+
+    @pytest.mark.parametrize("l", [1.0, 1.5, 2.0, 3.0])
+    def test_residual_matches_per_field_oracle(self, l):
+        # the oracle differentiates w = cos(pi x) e^{-t} once per quantity;
+        # differentiating u* and v* separately, each flux on its own, gives
+        # the same residual to the bit
+        mpmath = pytest.importorskip("mpmath")
+        fu, fv = build_sources(l)
+        pts = np.random.default_rng(5).uniform(0.05, 0.95, size=(3, 2))
+        worst = 0.0
+        with mpmath.workdps(40):
+            def u_of(x, t):
+                return 2 + mpmath.cos(mpmath.pi * x) * mpmath.e ** (-t)
+
+            def v_of(x, t):
+                return 2 + mpmath.cos(mpmath.pi * x) * mpmath.e ** (-t) / 2
+
+            for x, t in pts:
+                x, t = mpmath.mpf(float(x)), mpmath.mpf(float(t))
+
+                def diff_flux(s):
+                    ux = mpmath.diff(lambda r: u_of(r, t), s)
+                    return u_of(s, t) ** (l - 1) * v_of(s, t) * ux
+
+                def taxis_flux(s):
+                    vx = mpmath.diff(lambda r: v_of(r, t), s)
+                    return u_of(s, t) ** l * v_of(s, t) * vx
+
+                uv = u_of(x, t) * v_of(x, t)
+                ru = (mpmath.diff(lambda s: u_of(x, s), t)
+                      - mpmath.diff(diff_flux, x)
+                      + mpmath.diff(taxis_flux, x) - uv
+                      - mpmath.mpf(float(fu(float(x), float(t)))))
+                rv = (mpmath.diff(lambda s: v_of(x, s), t)
+                      - mpmath.diff(lambda s: v_of(s, t), x, 2) + uv
+                      - mpmath.mpf(float(fv(float(x), float(t)))))
+                worst = max(worst, abs(float(ru)), abs(float(rv)))
+        assert residual_check(l, npoints=3, seed=5) == worst
+
 
 def sympy_sources(l):
     """The forcing derived symbolically, as the closed form's oracle."""
