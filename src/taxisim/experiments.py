@@ -103,9 +103,11 @@ def recorded(out_dir, config: RunConfig, **fields):
     "success" unless the block set another status, "error" (any exception,
     recorded as "Type: message" and re-raised), "terminated" (`Terminated`,
     re-raised) or "interrupted" (KeyboardInterrupt, re-raised).  Its `files`
-    are what the block put in the yielded list, then "manifest.json".  An
-    `out_dir` that cannot be a directory raises (see `check_out_dir`)
-    before anything is made."""
+    are what the block put in the yielded list, then "manifest.json".  A
+    final write that fails leaves the last manifest (see `_write_manifest`)
+    and raises its OSError only if the block did not raise.  An `out_dir`
+    that cannot be a directory raises (see `check_out_dir`) before
+    anything is made."""
     check_out_dir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"config": dataclasses.asdict(config), "version": __version__,
@@ -113,17 +115,14 @@ def recorded(out_dir, config: RunConfig, **fields):
     files: list[str] = []
 
     def write() -> None:
-        # replaced whole, so the file on disk is valid JSON at every instant
         manifest["files"] = files + ["manifest.json"]
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path + ".tmp", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(path + ".tmp", path)
+        _write_manifest(out_dir, manifest)
 
     write()
+    raising = True
     try:
         yield manifest, files
+        raising = False
         if manifest["status"] == "running":
             manifest["status"] = "success"
     except KeyboardInterrupt as exc:
@@ -135,7 +134,29 @@ def recorded(out_dir, config: RunConfig, **fields):
         raise
     finally:
         manifest["finished"] = _now()
-        write()
+        try:
+            write()
+        except OSError:
+            # the block's own exception, which a Ctrl-C or SIGTERM exit
+            # needs, wins over a failed write; the last manifest stays
+            if not raising:
+                raise
+
+
+def _write_manifest(out_dir, manifest: dict) -> None:
+    """Replace `out_dir`'s manifest.json whole, through manifest.json.tmp,
+    so that the file on disk is valid JSON at every instant; a write that
+    fails removes the .tmp and leaves the last manifest in place."""
+    path = os.path.join(out_dir, "manifest.json")
+    try:
+        with open(path + ".tmp", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(path + ".tmp", path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path + ".tmp")
+        raise
 
 
 def _events(config: RunConfig) -> dict:
@@ -232,18 +253,18 @@ def _run_children(manifest: dict, out_dir, children: dict, jobs: int) -> dict:
     and return their results by subdirectory.  If any child did not
     succeed, the study's manifest becomes "child_failure" with its
     "failed_children" and their "child_errors": "Type: message" for a child
-    that raised, the failure message for one that ended as
-    "step_failure"."""
+    that raised or whose worker died (see `_rerun_alone`), the failure
+    message for one that ended as "step_failure"."""
     tasks = [(child, os.path.join(out_dir, sub))
              for sub, child in children.items()]
     if jobs <= 1:
         outcomes = [_run_child(task) for task in tasks]
     else:
-        # imported here: it pulls in multiprocessing, which serial runs never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_run_child, tasks))
+        # a worker that dies breaks its pool, and with it every child the
+        # pool had not finished; each of those is rerun alone
+        outcomes = [res if isinstance(res, RunResult) else _rerun_alone(task)
+                    for res, task in zip(_pooled(tasks, min(jobs, len(tasks))),
+                                         tasks)]
     results = dict(zip(children, outcomes))
     failed = [sub for sub, res in results.items()
               if res.manifest["status"] != "success"]
@@ -252,6 +273,45 @@ def _run_children(manifest: dict, out_dir, children: dict, jobs: int) -> dict:
                         child_errors={sub: results[sub].manifest["error"]
                                       for sub in failed})
     return results
+
+
+def _pooled(tasks, workers: int) -> list:
+    """`_run_child` of each task in a pool of `workers` processes: its
+    RunResult, or the pool's BrokenProcessPool if a worker died before the
+    task finished."""
+    # imported here: it pulls in multiprocessing, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    outcomes = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(_run_child, task) for task in tasks]:
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def _rerun_alone(task) -> RunResult:
+    """A child that a broken pool did not finish, rerun in a fresh
+    one-worker pool.  If that worker dies too, the child is the one that
+    kills it: its result is an "error" naming the BrokenProcessPool, and
+    its manifest, left at "running", is finalized so."""
+    res, = _pooled([task], 1)
+    if isinstance(res, RunResult):
+        return res
+    error = _describe(res)
+    out_dir = task[1]
+    try:
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            child = json.load(fh)
+    except (OSError, ValueError):  # it died before its manifest was whole
+        child = {}
+    if child.get("status") == "running":
+        child.update(status="error", error=error, finished=_now())
+        _write_manifest(out_dir, child)
+    return RunResult({"status": "error", "error": error}, None, [])
 
 
 def _sup_record(records, getter) -> float:

@@ -248,7 +248,7 @@ def face_quadrature(grid: Grid, axis: int) -> np.ndarray:
 class WorkArrays(NamedTuple):
     """Work arrays of one grid, overwritten by every step (in
     `model.rhs_arrays`), every `face_sums` call and every 2D
-    `inequalities.cosine_family` on that grid.
+    `inequalities.cosine_family` pair read on that grid.
 
     Face passes run over flattened cells, where the faces of an axis of
     stride s join flat cells k and k + s: each pass is one contiguous

@@ -11,6 +11,7 @@ gradient a poor stand-in for the continuous one.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,8 @@ __all__ = [
     "check_ineq_64",
     "check_lists",
     "fit_constant",
+    "largest_ratio",
+    "CosineFamily",
     "cosine_family",
 ]
 
@@ -208,16 +211,19 @@ def check_ineq_64(phi: ScalarField, psi: ScalarField, p, eta,
     return reports[0] if single_p and single_eta else reports
 
 
-def fit_constant(family, check, **params) -> float:
-    """Maximal ratio of `check` over an iterable of (phi, psi) pairs."""
-    best = None
-    for i, (phi, psi) in enumerate(family):
-        rep = check(phi, psi, field_seed=i, **params)
-        if best is None or rep.ratio > best:
-            best = rep.ratio
+def largest_ratio(ratios) -> float:
+    """The constant fitted to an iterable of ratios: the largest, the first
+    of equal ones; a ValueError if there are none."""
+    best = max(ratios, default=None)
     if best is None:
         raise ValueError("empty field family")
     return best
+
+
+def fit_constant(family, check, **params) -> float:
+    """Maximal ratio of `check` over an iterable of (phi, psi) pairs."""
+    return largest_ratio(check(phi, psi, field_seed=i, **params).ratio
+                         for i, (phi, psi) in enumerate(family))
 
 
 # cosine_family's series: modes up to _MODES per axis, scaled to [lo, hi]
@@ -250,15 +256,14 @@ def _cosine_basis(grid: Grid, modes: int) -> list[np.ndarray]:
     return basis
 
 
-def _random_smooth(rng: np.random.Generator, grid: Grid, basis, lo: float,
+def _random_smooth(coeffs: np.ndarray, grid: Grid, basis, lo: float,
                    hi: float) -> ScalarField:
-    # one draw per term; a term is (c * cx) * cy, in 2D formed as the same
-    # product cy * (c * cx), and the reduction over the leading axis adds the
-    # terms in order.  In 2D the terms are formed a block of rows at a time
-    # in the grid's work arrays, which the checks that follow need anyway,
-    # so that building a family does not raise the peak memory
-    terms = (rng.normal(size=len(basis[0])).reshape((-1,) + (1,) * grid.dim)
-             * basis[0])
+    # one coefficient per term; a term is (c * cx) * cy, in 2D formed as the
+    # same product cy * (c * cx), and the reduction over the leading axis
+    # adds the terms in order.  In 2D the terms are formed a block of rows at
+    # a time in the grid's work arrays, which the checks that follow need
+    # anyway, so that building a pair does not raise the peak memory
+    terms = coeffs.reshape((-1,) + (1,) * grid.dim) * basis[0]
     if grid.dim == 1:
         raw = np.add.reduce(terms, axis=0)
     else:
@@ -286,17 +291,45 @@ def _random_smooth(rng: np.random.Generator, grid: Grid, basis, lo: float,
     return ScalarField(grid, raw, copy=False)
 
 
-def cosine_family(grid: Grid, count: int, seed: int):
-    """Seeded list of (phi, psi) pairs of smooth positive fields."""
-    rng = np.random.default_rng(seed)
-    basis = _cosine_basis(grid, _MODES)
-    pairs = []
-    for _ in range(count):
-        lo = rng.uniform(*_LO_RANGE)
-        hi = rng.uniform(*_HI_RANGE)
-        phi = _random_smooth(rng, grid, basis, lo, hi)
-        lo = rng.uniform(*_LO_RANGE)
-        hi = rng.uniform(*_HI_RANGE)
-        psi = _random_smooth(rng, grid, basis, lo, hi)
-        pairs.append((phi, psi))
-    return pairs
+class CosineFamily(Sequence):
+    """A seeded family of (phi, psi) pairs of smooth positive fields, built
+    as it is read.
+
+    It keeps only the random draws, which it takes from the seed's
+    generator when it is made; each read of a pair builds both fields
+    afresh, so iterating holds one pair at a time (two while a loop
+    variable keeps the last one), whatever the count.  It reads like a
+    list of pairs: `len`, iteration, unpacking, integer and negative
+    indices, and a slice giving a list.  It has no `+` or `append`, and an
+    edit to a read field does not reach the next read of that pair."""
+
+    def __init__(self, grid: Grid, count: int, seed: int):
+        self.grid = grid
+        self._basis = _cosine_basis(grid, _MODES)
+        k = len(self._basis[0])
+        rng = np.random.default_rng(seed)
+        # per pair and field (phi, then psi): lo, hi, then the coefficients
+        self._bounds = np.empty((count, 2, 2))
+        self._coeffs = np.empty((count, 2, k))
+        for i in range(count):
+            for j in range(2):
+                self._bounds[i, j] = (rng.uniform(*_LO_RANGE),
+                                      rng.uniform(*_HI_RANGE))
+                self._coeffs[i, j] = rng.normal(size=k)
+
+    def __len__(self) -> int:
+        return len(self._bounds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]  # a list's IndexError and TypeError
+        return tuple(_random_smooth(self._coeffs[i, j], self.grid,
+                                    self._basis, *self._bounds[i, j].tolist())
+                     for j in range(2))
+
+
+def cosine_family(grid: Grid, count: int, seed: int) -> CosineFamily:
+    """Seeded sequence of `count` (phi, psi) pairs of smooth positive
+    fields, built as they are read (see `CosineFamily`)."""
+    return CosineFamily(grid, count, seed)

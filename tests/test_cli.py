@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -216,6 +217,51 @@ class TestIneq:
                                  "write_s"]
         for t in timings.values():
             assert re.fullmatch(r"\d+\.\d{6}", t) and float(t) > 0.0
+
+    def test_memory_does_not_grow_with_count(self, tmp_path, capsys):
+        # the family is built as each pair is checked: 180 more 64^2 pairs
+        # add only their report rows, not 360 fields of 32 KiB
+        cfg = tmp_path / "ineq64.cfg"
+        cfg.write_text(CONFIG_2D.replace("grid.nx = 12", "grid.nx = 64")
+                       .replace("grid.ny = 10", "grid.ny = 64"))
+        assert main(["ineq", str(cfg), "--out", str(tmp_path / "warm"),
+                     "--count", "1"]) == 0
+        peaks = []
+        for count in (20, 200):
+            tracemalloc.start()
+            try:
+                assert main(["ineq", str(cfg), "--out",
+                             str(tmp_path / f"count{count}"),
+                             "--count", str(count)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6
+
+    def test_terminated_with_failed_final_write_exits_143(
+            self, tmp_path, monkeypatch, capsys):
+        # a full disk at SIGTERM: the final manifest write fails, and the
+        # command still ends as terminated, keeping the running manifest
+        dump = experiments.json.dump
+        calls = []
+
+        def dump_once(obj, fh, **kwargs):
+            calls.append(obj["status"])
+            if len(calls) > 1:
+                raise OSError(28, "No space left on device")
+            return dump(obj, fh, **kwargs)
+
+        def terminated(*args, **kwargs):
+            raise experiments.Terminated("signal 15")
+
+        monkeypatch.setattr(experiments.json, "dump", dump_once)
+        monkeypatch.setattr(cli, "cosine_family", terminated)
+        out = str(tmp_path / "out")
+        assert main(["ineq", write_config_2d(tmp_path), "--out", out]) == 143
+        assert calls == ["running", "terminated"]
+        assert read_manifest(out)["status"] == "running"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "taxisim ineq: terminated")
 
     @pytest.mark.parametrize("exc_type, status", [
         (RuntimeError, "error"),

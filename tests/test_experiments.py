@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -382,6 +383,32 @@ class TestRecorded:
             manifest = json.load(fh)
         assert manifest["status"] == "running" and "finished" not in manifest
 
+    @pytest.mark.parametrize("exc_type", [ValueError, experiments.Terminated,
+                                          None])
+    def test_failed_final_write_keeps_block_exception(self, tmp_path,
+                                                       monkeypatch, exc_type):
+        # the block's own exception propagates, not the write's OSError (a
+        # block that succeeded gets the OSError); no partial .tmp is left
+        dump = experiments.json.dump
+        calls = []
+
+        def broken_dump(obj, fh, **kwargs):
+            calls.append(obj["status"])
+            if len(calls) == 1:
+                return dump(obj, fh, **kwargs)
+            fh.write('{"status": "')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(experiments.json, "dump", broken_dump)
+        with pytest.raises(exc_type or OSError,
+                           match="boom" if exc_type else "No space") as info:
+            with experiments.recorded(str(tmp_path), small_config()):
+                if exc_type:
+                    raise exc_type("boom")
+        assert type(info.value) is (exc_type or OSError)
+        assert os.listdir(tmp_path) == ["manifest.json"]
+        assert check_manifest(str(tmp_path))["status"] == "running"
+
     def test_write_leaves_no_temporary(self, tmp_path):
         with experiments.recorded(str(tmp_path), small_config()):
             assert os.listdir(tmp_path) == ["manifest.json"]
@@ -563,6 +590,63 @@ def test_workers_at_most_children(tmp_path, monkeypatch, study, jobs,
     with pytest.raises(RuntimeError, match="no pool"):
         study(small_config(), values, str(tmp_path), jobs=jobs)
     assert asked == [workers]
+
+
+_RUN_CHILD = experiments._run_child
+
+
+def _worker_dies_at_eps_005(args):
+    """`_run_child`, but the epsilon = 0.05 child kills its worker once its
+    manifest reads "running"; at module level, so that the pool can pickle
+    it."""
+    config, out_dir = args
+    if config.model.epsilon == 0.05:
+        with experiments.recorded(out_dir, config):
+            os._exit(3)
+    return _RUN_CHILD(args)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched child reaches workers only by fork")
+def test_dead_worker_fails_only_its_child(tmp_path, monkeypatch):
+    # the worker of eps_0.05 dies; its siblings are rerun alone and end as
+    # in a serial study, and no manifest is left at "running"
+    import concurrent.futures
+
+    eps = [0.1, 0.05, 0.025]
+    cfg = small_config(**{"output.snapshot_times": "0.02"})
+    epsilon_continuation(cfg, eps, str(tmp_path / "serial"))
+    sizes = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(experiments, "_run_child", _worker_dies_at_eps_005)
+    out = tmp_path / "pooled"
+    with pytest.raises(StepFailure, match="child run eps_0.05 failed"):
+        epsilon_continuation(cfg, eps, str(out), jobs=2)
+    manifest = check_manifest(str(out))
+    assert manifest["status"] == "child_failure"
+    assert manifest["failed_children"] == ["eps_0.05"]
+    assert manifest["child_errors"]["eps_0.05"].startswith(
+        "BrokenProcessPool: ")
+    for child in ("eps_0.1", "eps_0.025"):
+        assert check_manifest(str(out / child))["status"] == "success"
+        for name in os.listdir(out / child):
+            if name != "manifest.json":
+                assert (out / child / name).read_bytes() == (
+                    tmp_path / "serial" / child / name).read_bytes()
+    dead = check_manifest(str(out / "eps_0.05"))
+    assert dead["status"] == "error" and "finished" in dead
+    assert dead["error"] == manifest["child_errors"]["eps_0.05"]
+    for root, _, names in os.walk(out):
+        if "manifest.json" in names:
+            with open(os.path.join(root, "manifest.json")) as fh:
+                assert json.load(fh)["status"] != "running"
+    assert sizes[0] == 2 and set(sizes[1:]) == {1} and len(sizes) <= 4
 
 
 @pytest.mark.parametrize("make, values", [

@@ -18,6 +18,7 @@ from taxisim import (
     inequalities,
     weighted_gradient,
 )
+from taxisim.inequalities import largest_ratio
 from taxisim.grid import face_sums, integrate_array
 
 
@@ -154,7 +155,7 @@ class TestIneq64EtaSequence:
     def test_matches_scalar_calls(self, grid, p):
         pairs = cosine_family(grid, 6, seed=19)
         flat = (pairs[0][0], ScalarField.full(grid, 1.5))  # lhs == 0 branch
-        for i, (phi, psi) in enumerate(pairs + [flat]):
+        for i, (phi, psi) in enumerate(list(pairs) + [flat]):
             reports = check_ineq_64(phi, psi, p, self.ETAS, field_seed=i)
             assert len(reports) == len(self.ETAS)
             for eta, rep in zip(self.ETAS, reports):
@@ -196,7 +197,7 @@ class TestPSequence:
     @staticmethod
     def pairs(grid):
         pairs = cosine_family(grid, 4, seed=37)
-        return pairs + [(pairs[0][0], ScalarField.full(grid, 1.5))]
+        return list(pairs) + [(pairs[0][0], ScalarField.full(grid, 1.5))]
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
     def test_ineq61_matches_scalar_calls(self, grid):
@@ -414,6 +415,12 @@ class TestFitConstant:
         b = fit_constant(cosine_family(g, 10, seed=3), check_ineq_61, p=2.0)
         assert a == b
 
+    def test_largest_ratio(self):
+        # the one rule of `fit_constant` and the command line's fit
+        assert largest_ratio(iter([0.5, 2.0, 1.0, 2.0])) == 2.0
+        with pytest.raises(ValueError, match="empty field family"):
+            largest_ratio(iter([]))
+
     def test_grid_robust(self):
         # same continuous fields sampled at n and 2n: fitted constants close
         for p in (1.0, 2.0):
@@ -438,6 +445,44 @@ class TestCosineFamily:
         for (p1, s1), (p2, s2) in zip(a, b):
             assert np.array_equal(p1.values, p2.values)
             assert np.array_equal(s1.values, s2.values)
+
+    @pytest.mark.parametrize("grid", [grid1d(32),
+                                      Grid(Domain((1.0, 1.5)), (12, 10))],
+                             ids=["1d", "2d"])
+    def test_reads_repeat_bitwise(self, grid):
+        # each read builds the pair afresh from the same draws
+        family = cosine_family(grid, 5, seed=43)
+        assert len(family) == 5
+        first, second = list(family), list(family)
+        by_index = [family[i] for i in range(5)]
+        by_negative = [family[i - 5] for i in range(5)]
+        for pairs in (second, by_index, by_negative, family[:], family[0:5]):
+            assert len(pairs) == 5
+            for a, b in zip(first, pairs):
+                for x, y in zip(a, b):
+                    assert np.array_equal(x.values, y.values)
+        assert [len(family[1:4]), len(family[::2])] == [3, 3]
+        (phi, psi), = cosine_family(grid, 1, seed=43)
+        assert np.array_equal(phi.values, first[0][0].values)
+        with pytest.raises(IndexError):
+            family[5]
+
+    def test_memory_does_not_grow_with_count(self):
+        # iterating holds one pair (two while the loop's last is bound),
+        # not every pair of the family
+        grid = Grid(Domain((1.0, 1.0)), (64, 64))
+        for _ in cosine_family(grid, 1, seed=0):  # the work arrays exist now
+            pass
+        peaks = []
+        for count in (20, 200):
+            tracemalloc.start()
+            try:
+                for phi, psi in cosine_family(grid, count, seed=0):
+                    assert phi.values.min() > 0.0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * phi.values.nbytes
 
     def test_2d(self):
         g = Grid(Domain((1.0, 1.0)), (16, 16))
