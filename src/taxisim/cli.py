@@ -227,7 +227,7 @@ def _run_ineq(cfg, args) -> int:
                 rows += [(ineq, p, eta, *row) for row in column]
                 fitted[key] = largest_ratio(row[-1] for row in column)
 
-        start = time.perf_counter()
+        start = clock()
         with open(os.path.join(cfg.out_dir, "ineq_reports.csv"), "w") as fh:
             fh.write("ineq,field_seed,p,eta,lhs,rhs_total,ratio\n")
             for ineq, p, eta, i, lhs, total, ratio in rows:
@@ -240,7 +240,7 @@ def _run_ineq(cfg, args) -> int:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
         files.append("ineq_summary.json")
-        seconds["write_s"] = time.perf_counter() - start
+        seconds["write_s"] = clock() - start
         timings.update((key, f"{s:.6f}") for key, s in seconds.items())
     print(f"inequality lab finished: out={cfg.out_dir}")
     return 0

@@ -324,9 +324,10 @@ class CosineFamily(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]  # a list's IndexError and TypeError
-        return tuple(_random_smooth(self._coeffs[i, j], self.grid,
-                                    self._basis, *self._bounds[i, j].tolist())
-                     for j in range(2))
+        phi, psi = (_random_smooth(coeffs, self.grid, self._basis,
+                                   *bounds.tolist())
+                    for coeffs, bounds in zip(self._coeffs[i], self._bounds[i]))
+        return phi, psi
 
 
 def cosine_family(grid: Grid, count: int, seed: int) -> CosineFamily:
