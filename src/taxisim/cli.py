@@ -25,6 +25,7 @@ from .experiments import (
 )
 from .inequalities import (check_ineq_61, check_ineq_64, check_lists,
                            cosine_family, largest_ratio)
+from .stepper import StepFailure
 
 
 def _floats(raw: str) -> list[float]:
@@ -151,27 +152,28 @@ def _terminate(signum, frame):
 
 
 def _dispatch(cfg, args) -> int:
+    if args.command == "ineq":
+        return _run_ineq(cfg, args)
     if args.command == "run":
-        res = run_scenario(cfg)
-        print(f"run finished: status={res.manifest['status']} "
-              f"out={cfg.out_dir}")
-        return 0 if res.manifest["status"] == "success" else 1
-    if args.command == "continuation":
-        man = epsilon_continuation(cfg, args.eps, jobs=args.jobs)
-        print(f"continuation finished: out={cfg.out_dir}")
-        return 0 if man["status"] == "success" else 1
-    if args.command == "refine":
+        status = run_scenario(cfg).manifest["status"]
+    elif args.command == "continuation":
+        try:
+            status = epsilon_continuation(cfg, args.eps,
+                                          jobs=args.jobs)["status"]
+        except StepFailure:  # raised after the manifest reads child_failure
+            status = "child_failure"
+    elif args.command == "refine":
         man = refinement_study(cfg, args.n)
-        print("spatial orders:",
-              ["%.3f/%.3f" % (ou, ov) for _, ou, ov in man["spatial_orders"]])
-        print("temporal orders:",
-              ["%.3f" % o for o in man["temporal_orders"]])
-        return 0
-    if args.command == "sweep":
-        man = l_sweep(cfg, args.l, jobs=args.jobs)
-        print(f"sweep finished: out={cfg.out_dir}")
-        return 0 if man["status"] == "success" else 1
-    return _run_ineq(cfg, args)
+        status = man["status"]
+        if status == "success":
+            print("spatial orders:", ["%.3f/%.3f" % (ou, ov)
+                                      for _, ou, ov in man["spatial_orders"]])
+            print("temporal orders:",
+                  ["%.3f" % o for o in man["temporal_orders"]])
+    else:
+        status = l_sweep(cfg, args.l, jobs=args.jobs)["status"]
+    print(f"{args.command} finished: status={status} out={cfg.out_dir}")
+    return 0 if status == "success" else 1
 
 
 def _run_ineq(cfg, args) -> int:

@@ -7,6 +7,7 @@ continuous integration by parts.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,6 +135,12 @@ def _quotient_faces(gv, mv, w, g2, q_alpha, spare):
         yield num
 
 
+def _weighted_faces(q_alpha, gv, mv, w, spare):
+    """`_quotient_faces` over grads=(v,), means=(v,), with g2 in spare[0]."""
+    g2 = np.multiply(gv, gv, out=spare[0])
+    yield from _quotient_faces(gv, mv, w, g2, q_alpha, spare[1:])
+
+
 def dissipations(state: State) -> tuple[float, float]:
     """Gradient-structure integrals: (sum (v/u)|grad u|^2, sum (u/v)|grad v|^2)."""
     _check_positive(state.u, "u")
@@ -149,11 +156,7 @@ def weighted_gradient(state: State, q: float, alpha: float) -> float:
     _check_exponents(q, alpha)
     _check_positive(state.v, "v")
     v = state.v.values
-
-    def faces(gv, mv, w, spare):
-        g2 = np.multiply(gv, gv, out=spare[0])
-        yield from _quotient_faces(gv, mv, w, g2, [(q, alpha)], spare[1:])
-
+    faces = functools.partial(_weighted_faces, [(q, alpha)])
     return face_sums(state.grid, faces, grads=(v,), means=(v,))[0]
 
 

@@ -394,7 +394,9 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
     """Manufactured-solution verification: spatial orders from a doubling
     grid sequence, temporal orders from fixed-grid step-size halving.
 
-    The manifest is finalized by `recorded`, as in `run_scenario`."""
+    The manifest is finalized by `recorded`, as in `run_scenario`; a
+    StepFailure of a forced run ends the study as "step_failure", without
+    orders or tables."""
     grids = refinement_grids(n_list)
     out_dir = out_dir or config.out_dir
     with recorded(out_dir, config, children=[]) as (manifest, files):
@@ -421,10 +423,14 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
         # the spatial runs, then the temporal ones, stepped as one batch
         # with one forcing block per step
         runs = grids + [grid_t] * len(dts)
-        finals = run_batch([_mms_initial(grid) for grid in runs], config.T,
-                           config.model, config.step_control(),
-                           dt_max=[None] * len(grids) + dts,
-                           forcing=functools.partial(mms.forcing, l))
+        try:
+            finals = run_batch([_mms_initial(grid) for grid in runs],
+                               config.T, config.model, config.step_control(),
+                               dt_max=[None] * len(grids) + dts,
+                               forcing=functools.partial(mms.forcing, l))
+        except StepFailure as exc:  # as in `run_scenario`
+            manifest.update(status="step_failure", error=str(exc))
+            return manifest
         errors = []
         for grid, final in zip(grids, finals):
             xc = grid.centers(0)

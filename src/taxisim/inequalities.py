@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import _check_positive, _dissipation_faces, _quotient_faces
+from .diagnostics import _check_positive, _dissipation_faces, _weighted_faces
 from .grid import (FACE_BUFFERS, Grid, ScalarField, _max, _min, face_sums,
                    integrate_array, work_arrays)
 
@@ -113,13 +113,6 @@ def check_ineq_61(phi: ScalarField, psi: ScalarField, p,
     return reports[0] if single else reports
 
 
-# psi's quartic gradient quotient from its face gradients and means, as
-# weighted_gradient forms it at (q, alpha) = (4, 3)
-def _quartic_faces(gs, ms, w, spare):
-    g2 = np.multiply(gs, gs, out=spare[0])
-    yield from _quotient_faces(gs, ms, w, g2, [(4.0, 3.0)], spare[1:])
-
-
 # (6.4)'s two Young terms of one p from the face gradients of phi and psi
 # and the face means of phi^(p+1) psi and phi^(p-1) psi, in place in the
 # means with the operation order of m_fp1s * gs * gs * w and
@@ -142,15 +135,17 @@ _P_PER_PASS = (FACE_BUFFERS - 3) // 2
 
 # (6.4)'s face integrand over grads=(phi, psi) and means ([psi,] then
 # phi^(p+1) psi and phi^(p-1) psi for each p): each p's two Young terms,
-# then, where psi's mean leads the (then odd) list, psi's quartic quotient
-# in the buffers those terms freed and the spare ones
+# then, where psi's mean leads the (then odd) list, psi's quartic quotient,
+# as weighted_gradient forms it at (q, alpha) = (4, 3), in the buffers
+# those terms freed and the spare ones
 def _ineq64_faces(gf, gs, *rest):
     *ms, w, spare = rest
     quartic = len(ms) % 2
     for m_fp1s, m_fm1s in zip(ms[quartic::2], ms[quartic + 1::2]):
         yield from _young_faces(gf, gs, m_fp1s, m_fm1s, w)
     if quartic:
-        yield from _quartic_faces(gs, ms[0], w, ms[1:] + list(spare))
+        yield from _weighted_faces([(4.0, 3.0)], gs, ms[0], w,
+                                   ms[1:] + list(spare))
 
 
 def check_ineq_64(phi: ScalarField, psi: ScalarField, p, eta,

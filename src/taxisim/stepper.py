@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridBatch, ScalarField, _max, _min, _sum, work_arrays
-from .model import (ModelParams, State, _max_at, _min_at, rhs_arrays,
-                    stability_dt)
+from .model import ModelParams, State, rhs_arrays, stability_dt
 
 __all__ = ["StepControl", "StepFailure", "step", "run_until", "run_batch"]
 
@@ -91,6 +90,11 @@ def _check_limits(state: State, T: float, dt_max: float | None) -> None:
         raise ValueError(f"target time {T} lies before state time {state.t}")
 
 
+def _cap(T: float, t: float, dt_max: float | None) -> float:
+    """The largest step a run at t may take: to T, and at most dt_max."""
+    return T - t if dt_max is None else min(T - t, dt_max)
+
+
 def run_until(state: State, T: float, params: ModelParams, ctrl: StepControl,
               observer=None, source=None, dt_max: float | None = None) -> State:
     """Step until t = T exactly (final step truncated); observer sees every
@@ -98,10 +102,8 @@ def run_until(state: State, T: float, params: ModelParams, ctrl: StepControl,
     _check_limits(state, T, dt_max)
     tol = 1e-12 * max(1.0, abs(T))
     while T - state.t > tol:
-        cap = T - state.t
-        if dt_max is not None:
-            cap = min(cap, dt_max)
-        state = step(state, params, ctrl, dt_max=cap, source=source)
+        state = step(state, params, ctrl, dt_max=_cap(T, state.t, dt_max),
+                     source=source)
         if T - state.t <= tol:
             state = dataclasses.replace(state, t=T)
         if observer is not None:
@@ -130,26 +132,32 @@ def run_batch(states, T: float, params: ModelParams, ctrl: StepControl,
     end to end, which takes one time per run (as `mms.forcing` does).
 
     While two or more runs remain, a step of all of them is one
-    `rhs_arrays` call over their `GridBatch`; each run keeps its own t, dt,
-    cap, halving and consumption integral, exactly as `step` would.  A run
-    that reaches T leaves the batch, and the last one finishes through
-    `run_until`.  A run that fails leaves the batch too, and the others
-    finish; the StepFailure of the first failing run in list order is then
-    raised, as running them one after another would, with `results`: each
-    run's final state, or its StepFailure."""
+    `rhs_arrays` call over their `GridBatch`, each run at its own capped
+    CFL step.  It is accepted whole if no step lies below dt_min and every
+    cell stays finite and positive; if not, every run takes it through
+    `step`, which halves or raises as in `run_until`.  A run that reaches T
+    leaves the batch, and the last one finishes through `run_until`.  A run
+    that fails leaves the batch too, and the others finish; the StepFailure
+    of the first failing run in list order is then raised, as running them
+    one after another would, with `results`: each run's final state, or its
+    StepFailure."""
     states = list(states)
     caps = [None] * len(states) if dt_max is None else list(dt_max)
     if len(caps) != len(states):
         raise ValueError(f"dt_max has {len(caps)} caps for {len(states)} runs")
     for state, cap in zip(states, caps):
         _check_limits(state, T, cap)
+
+    def own_source(grid):  # a run's source when it steps alone
+        return forcing(grid.centers(0)) if forcing is not None else None
+
     tol = 1e-12 * max(1.0, abs(T))
     results = list(states)  # a run already within tol of T takes no step
     active = [i for i, s in enumerate(states) if T - s.t > tol]
     while len(active) > 1:
         grids = [states[i].grid for i in active]
         batch = GridBatch(tuple(grids))
-        work, starts, sizes = batch.work, batch.starts, np.array(batch.sizes)
+        work, starts = batch.work, batch.starts
         bounds = [(a, a + n) for a, n in zip(starts, batch.sizes)]
         block = np.concatenate([np.stack((states[i].u.values,
                                           states[i].v.values))
@@ -158,56 +166,41 @@ def run_batch(states, T: float, params: ModelParams, ctrl: StepControl,
                           batch.sizes) if forcing is not None else None)
         ts = [states[i].t for i in active]
         consumed = [states[i].cumulative_uv for i in active]
-        caps_now = [caps[i] for i in active]
         done = []  # (position in the batch, result) of runs that leave it
         while not done:
             src = source(ts) if source is not None else None
             duv, (d, tm, g) = rhs_arrays(block[0], block[1], batch, params,
                                          src, out=work.duv)
-            dts = []
-            for grid, t, cap, maxima in zip(grids, ts, caps_now,
-                                            zip(d.tolist(), tm.tolist(),
-                                                g.tolist())):
-                cap = T - t if cap is None else min(T - t, cap)
-                dts.append(min(stability_dt(grid, maxima, ctrl.safety), cap))
-            # consumption rates, each summed over its own slice: a sum
-            # depends on its order (see `model._max_at`)
-            uv_sums = [float(_sum(work.uv[a:b])) for a, b in bounds]
-            pending = range(len(grids))
-            for _ in range(ctrl.max_halvings + 1):
-                for j in pending:
-                    if dts[j] < ctrl.dt_min:
-                        done.append((j, StepFailure(
-                            f"step size {dts[j]:.3e} fell below dt_min",
-                            _run_state(grids[j], block, starts[j], ts[j],
-                                       consumed[j]))))
-                pending = [j for j in pending if not dts[j] < ctrl.dt_min]
-                new = duv * np.array(dts).repeat(sizes)
-                new += block
-                if _acceptable(new):
-                    pending = []
-                else:  # the same test per run
-                    lo = _min_at(new, starts, axis=1).min(axis=0)
-                    hi = _max_at(new, starts, axis=1).max(axis=0)
-                    pending = [j for j in pending
-                               if not (lo[j] > 0.0 and hi[j] < np.inf)]
-                if not pending:
-                    break
-                for j in pending:
-                    dts[j] *= 0.5
-            for j in pending:
-                done.append((j, StepFailure(
-                    f"positivity not restored after {ctrl.max_halvings} "
-                    "halvings", _run_state(grids[j], block, starts[j], ts[j],
-                                           consumed[j]))))
-            failed = {j for j, _ in done}
-            for j, dt in enumerate(dts):
-                if j not in failed:
-                    consumed[j] += dt * uv_sums[j] * grids[j].cell_volume
-                    ts[j] += dt
-                    if T - ts[j] <= tol:
-                        ts[j] = T
-                        done.append((j, None))
+            dts = [min(stability_dt(grid, maxima, ctrl.safety),
+                       _cap(T, t, caps[i]))
+                   for grid, t, i, maxima in zip(grids, ts, active,
+                                                 zip(d.tolist(), tm.tolist(),
+                                                     g.tolist()))]
+            new = duv * np.array(dts).repeat(batch.sizes)
+            new += block
+            if min(dts) >= ctrl.dt_min and _acceptable(new):
+                for j, (a, b) in enumerate(bounds):
+                    # each consumption rate summed over its own slice: a
+                    # sum depends on its order (see `model._max_at`)
+                    uv_sum = float(_sum(work.uv[a:b]))
+                    consumed[j] += dts[j] * uv_sum * grids[j].cell_volume
+                    ts[j] += dts[j]
+            else:
+                for j, (i, (a, b)) in enumerate(zip(active, bounds)):
+                    state = _run_state(grids[j], block, a, ts[j], consumed[j])
+                    try:
+                        state = step(state, params, ctrl,
+                                     _cap(T, ts[j], caps[i]),
+                                     own_source(grids[j]))
+                    except StepFailure as exc:
+                        done.append((j, exc))
+                        continue
+                    new[:, a:b] = state.u.values, state.v.values
+                    ts[j], consumed[j] = state.t, state.cumulative_uv
+            for j, t in enumerate(ts):  # a failed run's t lies before T
+                if T - t <= tol:
+                    ts[j] = T
+                    done.append((j, None))
             block = new
         for j, result in done:
             i = active[j]
@@ -220,10 +213,9 @@ def run_batch(states, T: float, params: ModelParams, ctrl: StepControl,
                                        consumed[j])
         active = [i for i in active if i not in left]
     for i in active:
-        source = (forcing(states[i].grid.centers(0)) if forcing is not None
-                  else None)
         try:
-            results[i] = run_until(states[i], T, params, ctrl, source=source,
+            results[i] = run_until(states[i], T, params, ctrl,
+                                   source=own_source(states[i].grid),
                                    dt_max=caps[i])
         except StepFailure as exc:
             results[i] = exc

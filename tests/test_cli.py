@@ -648,6 +648,32 @@ def test_sigterm_finalizes_run(tmp_path):
     assert (out / "series.csv").read_text().startswith("t,mass_u,")
 
 
+@pytest.mark.parametrize("command, status", [
+    (["continuation", "--eps", "0.1,0.05"], "child_failure"),
+    (["refine", "--n", "16,32"], "step_failure")])
+def test_failed_study_exits_1_without_traceback(tmp_path, command, status):
+    # a child's StepFailure, re-raised by the continuation, and a forced
+    # run's, raised in the refine study, ended both commands in a
+    # traceback; the refine study's manifest read "error"
+    path = tmp_path / "fail.cfg"
+    path.write_text(CONFIG + "time.dt_min = 1\n")
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "taxisim.cli", command[0], str(path), "--out",
+         str(out)] + command[1:], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{command[0]} finished: status={status} out={out}"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == status
+    if status == "step_failure":
+        assert manifest["error"].startswith("step size ")
+        assert read_manifest(str(out))["files"] == ["manifest.json"]
+
+
 def test_main_outside_main_thread(tmp_path):
     # only the main thread may set a signal handler; elsewhere main runs
     # without one

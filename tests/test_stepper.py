@@ -551,9 +551,14 @@ class TestRunBatch:
         assert_same_results(got, want)
         assert all(st.t == T for st in got)
 
-    def test_one_run_halves_alone(self):
+    @pytest.mark.parametrize("forcing", [
+        None, functools.partial(mms.forcing, 2.0)], ids=["unforced", "forced"])
+    def test_one_run_halves_alone(self, forcing):
         # halving_state's CFL step drives v negative; the others', on the
-        # same rhs_scalings branch (h = 3/16 and 10/n), do not
+        # same rhs_scalings branch (h = 3/16 and 10/n), do not.  Under the
+        # manufactured source, made for the unit interval, every run halves
+        # and then fails: each rejected batch step is taken by `step` with
+        # that run's own source
         ctrl = StepControl()
         sick = halving_state(7)
         _, maxima = rhs_arrays(sick.u.values, sick.v.values, sick.grid,
@@ -563,8 +568,14 @@ class TestRunBatch:
         states = [random_state(grid1d(24, 10.0), 1), sick,
                   random_state(grid1d(48, 10.0), 2)]
         T = 0.3
-        want = serial_runs(states, T, PARAMS, ctrl, [None] * 3)
-        assert_same_results(run_batch(states, T, PARAMS, ctrl), want)
+        want = serial_runs(states, T, PARAMS, ctrl, [None] * 3, forcing)
+        assert all(type(w) is (State if forcing is None else StepFailure)
+                   for w in want)
+        try:
+            got = run_batch(states, T, PARAMS, ctrl, forcing=forcing)
+        except StepFailure as exc:
+            got = exc.results
+        assert_same_results(got, want)
 
     def test_failing_runs_let_the_others_finish(self):
         # run 1 cannot restore positivity without halving, run 2's cap
