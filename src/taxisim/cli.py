@@ -13,6 +13,7 @@ import time
 from .config import ConfigError, _finite, labels, load_config
 from .experiments import (
     Terminated,
+    _temporal_dts,
     check_out_dir,
     continuation_children,
     epsilon_continuation,
@@ -52,11 +53,16 @@ def _load(args):
 
 def _check(cfg, args) -> None:
     """The command's check of its arguments, before any output exists; a
-    ValueError starts with `<name>: `, naming the option `--<name>`."""
+    ValueError starts with `<name>: `, naming the option `--<name>`, and a
+    ConfigError names the config file."""
     if args.command == "continuation":
         continuation_children(cfg, args.eps, args.jobs)
     elif args.command == "refine":
-        refinement_grids(args.n)
+        grid = refinement_grids(args.n)[0]
+        try:
+            _temporal_dts(cfg, grid)
+        except ValueError as exc:  # it names a config key
+            raise ConfigError(f"{args.config}: {exc}") from None
     elif args.command == "sweep":
         sweep_children(cfg, args.l, args.jobs)
     elif args.command == "ineq":
@@ -118,10 +124,9 @@ def main(argv=None) -> int:
     usage = sub.choices[args.command]
     try:
         cfg = _load(args)
+        _check(cfg, args)
     except (ConfigError, OSError) as exc:  # an OSError names the file
         usage.error(str(exc))
-    try:
-        _check(cfg, args)
     except ValueError as exc:
         usage.error(f"argument --{exc}")
     try:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (ScalarField, _max, _min, _sum, face_sums, integrate_array,
-                   work_arrays)
+from .grid import ScalarField, _max, _min, _sum, face_sums, integrate_array
 from .model import ModelParams, PositivityViolation, State
 
 __all__ = [
@@ -182,7 +181,7 @@ def energy_G(state: State, params: ModelParams) -> float:
     _check_positive(state.u, "u")
     f4 = weighted_gradient(state, 4.0, 3.0)
     return _energy_G(state.grid, state.u.values, params, f4, None,
-                     work_arrays(state.grid).coef_d)
+                     state.grid.work.coef_d)
 
 
 def _energy_G(grid, u: np.ndarray, params: ModelParams, f4: float,
@@ -238,7 +237,7 @@ def full_record(state: State, params: ModelParams, p_list,
     diss_u, diss_v, grad_v_sq, grad_v_sq_over_v = sums[:4]
     quotient_sums = dict(zip(quotients, sums[4:]))
 
-    work = work_arrays(grid)
+    work = grid.work
     c = np.multiply(u, u, out=work.coef_d)
     c *= v
     weighted_L2 = integrate_array(grid, c)

@@ -390,6 +390,22 @@ def refinement_grids(n_list) -> list[Grid]:
         raise ValueError(f"n: {exc}") from None
 
 
+def _temporal_dts(config: RunConfig, grid: Grid) -> list[float]:
+    """`refinement_study`'s temporal step caps dt0, dt0/2, dt0/4 on `grid`:
+    dt0 is at most the forced run's CFL bound at t = 0, where the exact
+    pair's mobilities peak.  Unless T > dt0/2, a ValueError names time.T:
+    the runs at dt0 and dt0/2 would take the same steps."""
+    h = grid.h[0]
+    start = _mms_initial(grid)
+    _, maxima = rhs_arrays(start.u.values, start.v.values, grid, config.model)
+    dt0 = min(config.safety * h * h / 80.0,
+              stability_dt(grid, maxima, config.safety))
+    if not config.T > dt0 / 2.0:
+        raise ValueError(f"time.T = {config.T:g} must exceed dt0/2 for the "
+                         f"temporal study, with dt0 = {dt0:.3e}")
+    return [dt0, dt0 / 2.0, dt0 / 4.0]
+
+
 def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> dict:
     """Manufactured-solution verification: spatial orders from a doubling
     grid sequence, temporal orders from fixed-grid step-size halving.
@@ -398,6 +414,10 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
     StepFailure of a forced run ends the study as "step_failure", without
     orders or tables."""
     grids = refinement_grids(n_list)
+    # Temporal self-convergence on a fixed coarse grid: field differences
+    # between runs at dt and dt/2 cancel the spatial error exactly.
+    grid_t = grids[0]
+    dts = _temporal_dts(config, grid_t)
     out_dir = out_dir or config.out_dir
     with recorded(out_dir, config, children=[]) as (manifest, files):
         l = config.model.l
@@ -407,19 +427,6 @@ def refinement_study(config: RunConfig, n_list, out_dir: str | None = None) -> d
                 f"manufactured source residual {residual:.3e} exceeds "
                 f"{MMS_RESIDUAL_TOL:g}; refusing to run the study")
 
-        # Temporal self-convergence on a fixed coarse grid: field differences
-        # between runs at dt and dt/2 cancel the spatial error exactly.
-        grid_t = grids[0]
-        h = grid_t.h[0]
-        # at most the forced run's CFL bound at t = 0, where the exact
-        # pair's mobilities peak: at l >= 3 h^2/80 lies above it, and runs
-        # at dt0 and dt0/2 would take the same CFL steps
-        start = _mms_initial(grid_t)
-        _, maxima = rhs_arrays(start.u.values, start.v.values, grid_t,
-                               config.model)
-        dt0 = min(config.safety * h * h / 80.0,
-                  stability_dt(grid_t, maxima, config.safety))
-        dts = [dt0, dt0 / 2.0, dt0 / 4.0]
         # the spatial runs, then the temporal ones, stepped as one batch
         # with one forcing block per step
         runs = grids + [grid_t] * len(dts)

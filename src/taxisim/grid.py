@@ -89,30 +89,15 @@ class Grid:
             raise ValueError(f"shape needs at least 2 cells per axis, got {shape}")
         object.__setattr__(self, "shape", shape)
 
-    # Geometry, the hash and the key that equality compares are fixed by the
-    # fields, so each is computed on first use and kept; eq, hash, repr and
-    # pickles still see only `domain` and `shape`.  Equality checks identity
-    # first: `work_arrays` looks grids up twice a step.
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
+    # Geometry and the work arrays (from `work_arrays`, so equal grids share
+    # one set) are fixed by the fields, so each is made on first use and
+    # kept; eq, hash, repr and pickles see only `domain` and `shape`.
     def __reduce__(self):
         return Grid, (self.domain, self.shape)
 
     @cached_property
-    def _key(self) -> tuple:
-        return self.domain.lengths, self.shape
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.domain, self.shape))
+    def work(self) -> "WorkArrays":
+        return work_arrays(self)
 
     @cached_property
     def dim(self) -> int:
@@ -168,7 +153,8 @@ class ScalarField:
         # hot path: a float64 ndarray of the grid's shape is kept as it is
         if (copy or type(values) is not np.ndarray
                 or values.dtype is not _FLOAT64 or values.shape != grid.shape):
-            values = np.array(values, dtype=np.float64, copy=copy)
+            # None copies only if needed; numpy 2 reads False as "never"
+            values = np.array(values, dtype=np.float64, copy=copy or None)
             if values.shape != grid.shape:
                 values = values.reshape(grid.shape)
         self.grid = grid
@@ -391,10 +377,10 @@ class GridBatch:
 
 @functools.lru_cache(maxsize=4)
 def work_arrays(grid: Grid) -> WorkArrays:
-    """The grid's work arrays, allocated on first use and then reused, so
-    neither a step nor a face pass allocates field-sized temporaries.  Calls
-    on one grid must not run concurrently in threads of one process.  A
-    `GridBatch` keeps its own (`GridBatch.work`), built by this code."""
+    """The work arrays of grids equal to `grid`, read as `grid.work`: made on
+    first use and then reused, so neither a step nor a face pass allocates
+    field-sized temporaries.  Calls on one grid must not run concurrently in
+    threads of one process.  A `GridBatch` keeps its own, built here."""
     def zeros(size, first=0):  # element `first` starts a 64-byte line
         raw = np.zeros(size + 8)
         return raw[-(raw.__array_interface__["data"][0] // 8 + first) % 8:][:size]
@@ -440,7 +426,7 @@ def face_sums(grid: Grid, integrand, grads=(), means=()) -> list[float]:
     grads = [a.reshape(-1) for a in grads]
     means = [a.reshape(-1) for a in means]
     totals = []
-    for (scale, k), lo, hi, _, w, faces in work_arrays(grid).axes:
+    for (scale, k), lo, hi, _, w, faces in grid.work.axes:
         for a, out in zip(grads, faces):
             np.subtract(a[hi], a[lo], out=out)
             scale(out, k, out=out)  # out /= h

@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import _check_positive, _dissipation_faces, _weighted_faces
 from .grid import (FACE_BUFFERS, Grid, ScalarField, _max, _min, face_sums,
-                   integrate_array, work_arrays)
+                   integrate_array)
 
 __all__ = [
     "IneqReport",
@@ -263,7 +263,7 @@ def _random_smooth(coeffs: np.ndarray, grid: Grid, basis, lo: float,
         raw = np.add.reduce(terms, axis=0)
     else:
         k, (nx, ny) = len(terms), grid.shape
-        buf = work_arrays(grid).rows.reshape(-1)
+        buf = grid.work.rows.reshape(-1)
         if buf.size < k * ny:  # more terms than the work arrays hold rows
             buf = np.empty(k * ny)
         nrows = buf.size // (k * ny)

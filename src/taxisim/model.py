@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, GridBatch, ScalarField, WorkArrays, _max, _min,
-                   work_arrays)
+from .grid import Grid, GridBatch, ScalarField, WorkArrays, _max, _min
 
 __all__ = [
     "ModelParams",
@@ -130,7 +129,7 @@ def rhs_arrays(u: np.ndarray, v: np.ndarray, grid: Grid | GridBatch,
     For a `GridBatch` the arrays hold its grids end to end, and each
     maximum is an array with one value per grid.
     """
-    work = work_arrays(grid) if type(grid) is Grid else grid.work
+    work = grid.work
     starts = work.starts
     coef_d, coef_t = _coefficients(u, v, params, work)
     if grid.dim > 1:

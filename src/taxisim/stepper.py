@@ -7,13 +7,14 @@ positivity comes from step-size control rather than clamping.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridBatch, ScalarField, _max, _min, _sum, work_arrays
+from .grid import GridBatch, ScalarField, _max, _min, _sum
 from .model import ModelParams, State, rhs_arrays, stability_dt
 
 __all__ = ["StepControl", "StepFailure", "step", "run_until", "run_batch"]
@@ -56,7 +57,7 @@ def step(state: State, params: ModelParams, ctrl: StepControl,
     grid = state.grid
     u, v = state.u.values, state.v.values
     src = source(state.t) if source is not None else None
-    work = work_arrays(grid)
+    work = grid.work
     duv, maxima = rhs_arrays(u, v, grid, params, src, out=work.duv)
     dt = stability_dt(grid, maxima, ctrl.safety)
     if dt_max is not None:
@@ -148,8 +149,10 @@ def run_batch(states, T: float, params: ModelParams, ctrl: StepControl,
     for state, cap in zip(states, caps):
         _check_limits(state, T, cap)
 
-    def own_source(grid):  # a run's source when it steps alone
-        return forcing(grid.centers(0)) if forcing is not None else None
+    @functools.cache
+    def own_source(i):  # run i's source when it steps alone, built once
+        if forcing is not None:
+            return forcing(states[i].grid.centers(0))
 
     tol = 1e-12 * max(1.0, abs(T))
     results = list(states)  # a run already within tol of T takes no step
@@ -191,7 +194,7 @@ def run_batch(states, T: float, params: ModelParams, ctrl: StepControl,
                     try:
                         state = step(state, params, ctrl,
                                      _cap(T, ts[j], caps[i]),
-                                     own_source(grids[j]))
+                                     own_source(i))
                     except StepFailure as exc:
                         done.append((j, exc))
                         continue
@@ -215,7 +218,7 @@ def run_batch(states, T: float, params: ModelParams, ctrl: StepControl,
     for i in active:
         try:
             results[i] = run_until(states[i], T, params, ctrl,
-                                   source=own_source(states[i].grid),
+                                   source=own_source(i),
                                    dt_max=caps[i])
         except StepFailure as exc:
             results[i] = exc

@@ -674,6 +674,27 @@ def test_failed_study_exits_1_without_traceback(tmp_path, command, status):
         assert read_manifest(str(out))["files"] == ["manifest.json"]
 
 
+@pytest.mark.parametrize("T", ["1e-13", "8e-6"])
+def test_refine_T_too_short_is_usage_error(tmp_path, T):
+    # T <= dt0/2 (dt0 = 1.953e-05 at n = 16) ended the study in a traceback
+    # and an `error` manifest
+    path = tmp_path / "short.cfg"
+    path.write_text(CONFIG.replace("time.T = 0.02", f"time.T = {T}")
+                    .replace("diagnostics.sample_interval = 0.01\n", ""))
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "taxisim.cli", "refine", str(path), "--out",
+         str(out), "--n", "16,32"], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        f"taxisim refine: error: {path}: time.T = {float(T):g} must exceed "
+        "dt0/2 for the temporal study, with dt0 = 1.953e-05")
+    assert not out.exists()
+
+
 def test_main_outside_main_thread(tmp_path):
     # only the main thread may set a signal handler; elsewhere main runs
     # without one

@@ -87,6 +87,13 @@ class TestPresets:
         u0, _ = make_initial("checker", g, {"lo": 0.5, "hi": 1.5, "tiles": 4})
         assert set(np.unique(u0.values)) == {0.5, 1.5}
 
+    def test_checker_integer_levels(self):
+        # integer levels need a cast, which ScalarField(copy=False) allows
+        g = Grid(Domain((1.0, 1.0)), (8, 8))
+        u0, v0 = make_initial("checker", g, {"lo": 1, "hi": 2, "v": 3})
+        assert u0.values.dtype == v0.values.dtype == np.float64
+        assert set(np.unique(u0.values)) == {1.0, 2.0}
+
     def test_unknown_preset(self):
         g = Grid(Domain((1.0,)), (8,))
         with pytest.raises(ValueError):
@@ -475,6 +482,29 @@ init.preset = constant
         got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in ("refine.csv", "temporal.csv"))
         assert got == self.GOLDEN[l]
+
+    @pytest.mark.parametrize("T, ok", [(1e-13, False), (8e-6, False),
+                                       (1.2e-5, True)])
+    def test_T_too_short_for_temporal_study(self, tmp_path, T, ok):
+        # n = 16: dt0 = 0.4 h^2 / 80 = 1.953e-05.  For T <= dt0/2 the runs
+        # at dt0 and dt0/2 took identical steps, and the study ended in a
+        # ZeroDivisionError or a math domain error with an `error` manifest
+        cfg = parse_config(f"""
+grid.nx = 16
+model.l = 2
+model.epsilon = 0.01
+time.T = {T!r}
+init.preset = constant
+""")
+        out = tmp_path / "out"
+        if ok:
+            man = refinement_study(cfg, [16, 32], str(out))
+            assert man["status"] == "success"
+            assert all(d > 0.0 for d in man["temporal_diffs"])
+            return
+        with pytest.raises(ValueError, match=r"^time\.T = .* dt0 = 1\.953e-05$"):
+            refinement_study(cfg, [16, 32], str(out))
+        assert not out.exists()
 
     def test_rejects_non_doubling(self, tmp_path):
         cfg = small_config()

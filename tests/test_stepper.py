@@ -45,6 +45,15 @@ def random_state(grid, seed, lo=0.2, hi=2.0):
                  v=ScalarField(grid, rng.uniform(lo, hi, size=grid.shape)))
 
 
+def on_fresh_grid(state):
+    """`state` on a new grid equal to its own, which holds no work arrays
+    yet: after `work_arrays.cache_clear()` its steps get a fresh set."""
+    g = state.grid
+    fresh = Grid(Domain(g.domain.lengths), g.shape)
+    return dataclasses.replace(state, u=ScalarField(fresh, state.u.values),
+                               v=ScalarField(fresh, state.v.values))
+
+
 PARAMS = ModelParams(l=2.0, epsilon=0.01)
 
 
@@ -310,13 +319,14 @@ class TestWorkArrays:
         alone = []
         for st in starts:
             work_arrays.cache_clear()
+            st = on_fresh_grid(st)
             run = []
             for _ in range(4):
                 st = step(st, PARAMS, ctrl)
                 run.append(st)
             alone.append(run)
         work_arrays.cache_clear()
-        states = list(starts)
+        states = [on_fresh_grid(st) for st in starts]
         for k in range(4):
             for i, ref in enumerate(alone):
                 states[i] = step(states[i], PARAMS, ctrl)
@@ -333,7 +343,7 @@ class TestWorkArrays:
         ctrl = StepControl()
         first = step(random_state(g, 3), PARAMS, ctrl)
         work_arrays.cache_clear()
-        fresh = full_record(first, PARAMS, (2.0, 4.0))
+        fresh = full_record(on_fresh_grid(first), PARAMS, (2.0, 4.0))
         plain = step(first, PARAMS, ctrl)
         rec = full_record(first, PARAMS, (2.0, 4.0))
         after = step(first, PARAMS, ctrl)
@@ -360,7 +370,7 @@ class TestWorkArrays:
             assert margins.tobytes() == bytes(margins.nbytes)  # +0.0 each
         after = step(first, PARAMS, ctrl)
         work_arrays.cache_clear()
-        cleared = step(first, PARAMS, ctrl)
+        cleared = step(on_fresh_grid(first), PARAMS, ctrl)
         assert after.u.values.tobytes() == cleared.u.values.tobytes()
         assert after.v.values.tobytes() == cleared.v.values.tobytes()
         assert (after.t, after.cumulative_uv) == (cleared.t,
@@ -577,6 +587,24 @@ class TestRunBatch:
             got = exc.results
         assert_same_results(got, want)
 
+    def test_own_source_built_once_per_run(self):
+        # in test_one_run_halves_alone[forced]'s shape every batch step is
+        # handed to `step`; each run's single-grid source was built anew at
+        # every handoff, 61 times for the 3 runs
+        builds = []
+
+        def forcing(x, sizes=None):
+            if sizes is None:
+                builds.append(x.size)
+            return mms.forcing(2.0, x, sizes)
+
+        states = [random_state(grid1d(24, 10.0), 1), halving_state(7),
+                  random_state(grid1d(48, 10.0), 2)]
+        with pytest.raises(StepFailure):
+            run_batch(states, 0.3, PARAMS, StepControl(), forcing=forcing)
+        assert 0 < len(builds) <= 3
+        assert len(builds) == len(set(builds))
+
     def test_failing_runs_let_the_others_finish(self):
         # run 1 cannot restore positivity without halving, run 2's cap
         # lies below dt_min: the serial loop raises run 1's failure
@@ -623,6 +651,17 @@ class TestRunBatch:
         run_batch(states, T, PARAMS, StepControl(), dt_max=caps)
         assert len(set(steps)) == 3
         assert calls == {"rhs_arrays": max(steps), "stability_dt": sum(steps)}
+
+    def test_round_robin_builds_one_set_per_grid(self):
+        # five grids, one more than work_arrays' cache holds: each grid
+        # keeps the set it fetched, so stepping them in turn builds five
+        grids = [grid1d(n) for n in (8, 16, 24, 32, 40)]
+        states = [random_state(g, seed) for seed, g in enumerate(grids)]
+        work_arrays.cache_clear()
+        for _ in range(10):
+            states = [step(st, PARAMS, StepControl()) for st in states]
+        assert work_arrays.cache_info().misses == 5
+        assert all(st.grid.work is g.work for st, g in zip(states, grids))
 
     def test_grids_keep_their_cached_work_arrays(self):
         # the batches' work arrays live outside work_arrays' cache of 4, so
