@@ -10,11 +10,14 @@ bounded away from zero, so the forced runs measure scheme order rather than
 degeneracy handling.  The source terms are closed-form numpy (no sympy),
 checked by an independent arbitrary-precision finite-difference oracle
 (mpmath, imported only there) that re-derives the strong-form residual at
-random points before any study is trusted.
+points drawn by the standard library's `random` (so that the check loads
+no `numpy.random`) before any study is trusted.
 """
 from __future__ import annotations
 
 import math
+import numbers
+import random
 
 import numpy as np
 
@@ -105,17 +108,27 @@ def build_sources(l: float):
     return f_u, f_v
 
 
+def oracle_points(npoints: int, seed: int) -> list[tuple[float, float]]:
+    """`residual_check`'s (x, t) points, each drawn x first from
+    uniform(0.05, 0.95) by ``random.Random(seed)``; npoints is an int >= 1."""
+    if isinstance(npoints, bool) or not (
+            isinstance(npoints, numbers.Integral) and npoints >= 1):
+        raise ValueError(f"npoints must be an integer >= 1, got {npoints!r}")
+    rng = random.Random(seed)
+    return [(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
+            for _ in range(npoints)]
+
+
 def residual_check(l: float, npoints: int = 10, seed: int = 0) -> float:
-    """Max strong-form residual of the forced system at random (x,t) points,
+    """Max strong-form residual of the forced system at `oracle_points`,
     with every derivative taken by high-precision numerical differentiation
     (independent of the closed form that produced the sources).  u* = 2 + w
     and v* = 2 + w/2 with w = cos(pi x) e^{-t}, so the derivatives taken are
     those of w, each of one factor with the other held fixed."""
     import mpmath
 
+    pts = oracle_points(npoints, seed)
     fu, fv = build_sources(l)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.05, 0.95, size=(npoints, 2))
     worst = 0.0
     with mpmath.workdps(40):
         pi, diff = mpmath.pi, mpmath.diff

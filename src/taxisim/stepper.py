@@ -96,20 +96,26 @@ def _cap(T: float, t: float, dt_max: float | None) -> float:
     return T - t if dt_max is None else min(T - t, dt_max)
 
 
+def _at(state: State, T: float) -> State:
+    """`state` with its clock set to T: the same object if t == T."""
+    return state if state.t == T else dataclasses.replace(state, t=T)
+
+
 def run_until(state: State, T: float, params: ModelParams, ctrl: StepControl,
               observer=None, source=None, dt_max: float | None = None) -> State:
     """Step until t = T exactly (final step truncated); observer sees every
-    accepted state."""
+    accepted state.  A state already within 1e-12 * max(1, |T|) of T takes
+    no step and is returned at t = T (the same object if t == T)."""
     _check_limits(state, T, dt_max)
     tol = 1e-12 * max(1.0, abs(T))
     while T - state.t > tol:
         state = step(state, params, ctrl, dt_max=_cap(T, state.t, dt_max),
                      source=source)
         if T - state.t <= tol:
-            state = dataclasses.replace(state, t=T)
+            state = _at(state, T)
         if observer is not None:
             observer(state)
-    return state
+    return _at(state, T)
 
 
 def _run_state(grid, block: np.ndarray, a: int, t: float,
@@ -155,7 +161,8 @@ def run_batch(states, T: float, params: ModelParams, ctrl: StepControl,
             return forcing(states[i].grid.centers(0))
 
     tol = 1e-12 * max(1.0, abs(T))
-    results = list(states)  # a run already within tol of T takes no step
+    # a run already within tol of T takes no step
+    results = [_at(s, T) if T - s.t <= tol else s for s in states]
     active = [i for i, s in enumerate(states) if T - s.t > tol]
     while len(active) > 1:
         grids = [states[i].grid for i in active]

@@ -8,7 +8,7 @@ import pytest
 
 import taxisim
 from taxisim.mms import (build_sources, exact_u, exact_v, forcing,
-                         residual_check)
+                         oracle_points, residual_check)
 
 
 class TestExactPair:
@@ -74,6 +74,19 @@ class TestSources:
         monkeypatch.setattr(taxisim.mms, "build_sources", off)
         assert residual_check(2.0, npoints=3) == pytest.approx(1e-9, rel=1e-4)
 
+    @pytest.mark.parametrize("npoints", [0, -1])
+    def test_residual_needs_a_point(self, npoints):
+        # an empty oracle returned 0.0, so a study trusted unchecked sources
+        with pytest.raises(ValueError, match="^npoints must be an integer"):
+            residual_check(2.0, npoints=npoints)
+
+    def test_oracle_points_come_from_random(self):
+        import random
+        rng = random.Random(3)
+        want = [(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
+                for _ in range(4)]
+        assert oracle_points(4, 3) == want
+
     @pytest.mark.parametrize("l", [1.0, 1.5, 2.0, 3.0])
     def test_residual_matches_per_field_oracle(self, l):
         # the oracle differentiates w = cos(pi x) e^{-t} once per quantity;
@@ -81,7 +94,7 @@ class TestSources:
         # the same residual to the bit
         mpmath = pytest.importorskip("mpmath")
         fu, fv = build_sources(l)
-        pts = np.random.default_rng(5).uniform(0.05, 0.95, size=(3, 2))
+        pts = oracle_points(3, 5)
         worst = 0.0
         with mpmath.workdps(40):
             def u_of(x, t):
@@ -262,3 +275,27 @@ class TestLazyImports:
             f"refinement_study(parse_config({cfg!r}), [16, 32], "
             f"{str(tmp_path / 'out')!r})")
         assert "mpmath" in loaded and "sympy" not in loaded
+
+    def test_refine_command_loads_no_numpy_random(self, tmp_path):
+        # the oracle's points came from np.random.default_rng, the only use
+        # of numpy.random on the refine path; `python -m taxisim.cli` runs
+        # through runpy so that sys.modules can be read after it
+        cfg = tmp_path / "refine.cfg"
+        cfg.write_text("grid.nx = 16\nmodel.l = 2\nmodel.epsilon = 0.01\n"
+                       "time.T = 0.001\ninit.preset = constant\n")
+        out = tmp_path / "out"
+        argv = ["taxisim.cli", "refine", str(cfg), "--out", str(out),
+                "--n", "16,32"]
+        probe = (f"import runpy, sys\nsys.argv = {argv!r}\n"
+                 "try:\n"
+                 "    runpy.run_module('taxisim.cli', run_name='__main__',\n"
+                 "                     alter_sys=True)\n"
+                 "except SystemExit as exc:\n"
+                 "    assert exc.code == 0, exc.code\n"
+                 "print('mpmath' in sys.modules, 'numpy.random' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(taxisim.__file__))
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert (out / "refine.csv").exists()
+        assert proc.stdout.splitlines()[-1] == "True False"

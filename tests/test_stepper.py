@@ -143,6 +143,20 @@ class TestRunUntil:
         assert out is st
         assert calls == []
 
+    @pytest.mark.parametrize("T", [1e-13, 5e-13])
+    def test_within_tolerance_reaches_target(self, monkeypatch, T):
+        # 0 < T - t <= 1e-12 max(1, |T|): the input came back at t = 0
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(taxisim.stepper, "step", no_step)
+        st = constant_state(grid1d(16))
+        calls = []
+        out = run_until(st, T, PARAMS, StepControl(), observer=calls.append)
+        assert out.t == T and calls == []
+        assert out.u is st.u and out.v is st.v
+        assert out.cumulative_uv == st.cumulative_uv
+
     def test_rejects_past_target(self):
         g = grid1d(8)
         st = State(u=ScalarField.full(g, 1.0), v=ScalarField.full(g, 1.0),
@@ -586,6 +600,19 @@ class TestRunBatch:
         except StepFailure as exc:
             got = exc.results
         assert_same_results(got, want)
+
+    def test_run_within_tolerance_reaches_target(self):
+        # a run starting within 1e-12 of T came back with its own t
+        T = 0.005
+        states = [random_state(grid1d(16), 1), random_state(grid1d(32), 2),
+                  random_state(grid1d(16), 3), random_state(grid1d(8), 4)]
+        states[2] = dataclasses.replace(states[2], t=T - 5e-13)
+        states[3] = dataclasses.replace(states[3], t=T)
+        got = run_batch(states, T, PARAMS, StepControl())
+        assert [st.t for st in got] == [T] * 4
+        assert got[2].u is states[2].u and got[3] is states[3]
+        assert_same_results(got[:2], serial_runs(states[:2], T, PARAMS,
+                                                 StepControl(), [None] * 2))
 
     def test_own_source_built_once_per_run(self):
         # in test_one_run_halves_alone[forced]'s shape every batch step is
