@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -81,7 +82,6 @@ class TestSources:
             residual_check(2.0, npoints=npoints)
 
     def test_oracle_points_come_from_random(self):
-        import random
         rng = random.Random(3)
         want = [(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
                 for _ in range(4)]
